@@ -2,16 +2,54 @@
 # One-command gate: build + full tier-1 test suite, then the crash-recovery
 # suite (ctest label `crash`) under AddressSanitizer and ThreadSanitizer.
 #
-#   scripts/check.sh           # everything
-#   scripts/check.sh --fast    # tier-1 only (skip sanitizer builds)
+#   scripts/check.sh               # everything
+#   scripts/check.sh --fast        # tier-1 only (skip sanitizer builds)
+#   scripts/check.sh --san asan    # one sanitizer preset only: the crash
+#                                  # suite plus the smokes (asan or tsan)
 #
 # Uses the CMake presets in CMakePresets.json (default / asan / tsan).
+# The sanitizer list below is the only copy: CI runs it per preset.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="${JOBS:-$(nproc)}"
+
+# Crash suite and smokes under one sanitizer preset.
+run_sanitizer() {
+  local san="$1"
+  echo "==> crash suite under ${san} (ctest -L crash)"
+  cmake --preset "${san}"
+  cmake --build --preset "${san}" -j "${JOBS}"
+  ctest --preset "crash-${san}" -j "${JOBS}"
+  echo "==> directory stress under ${san}"
+  cmake --build --preset "${san}" -j "${JOBS}" --target bench_directory
+  "./build-${san}/bench/bench_directory" --stress-smoke
+  echo "==> batch smoke under ${san}"
+  cmake --build --preset "${san}" -j "${JOBS}" --target bench_batch
+  "./build-${san}/bench/bench_batch" --smoke
+  echo "==> eviction stress under ${san}"
+  "./build-${san}/bench/bench_directory" --evict
+  echo "==> store smoke under ${san}"
+  cmake --build --preset "${san}" -j "${JOBS}" --target bench_store
+  "./build-${san}/bench/bench_store" --smoke
+  echo "==> serve smoke under ${san}"
+  cmake --build --preset "${san}" -j "${JOBS}" --target bench_serve
+  "./build-${san}/bench/bench_serve" --smoke
+}
+
 FAST=0
-[[ "${1:-}" == "--fast" ]] && FAST=1
+case "${1:-}" in
+  --fast) FAST=1 ;;
+  --san)
+    case "${2:-}" in
+      asan | tsan) ;;
+      *) echo "usage: $0 --san asan|tsan" >&2; exit 2 ;;
+    esac
+    run_sanitizer "$2"
+    echo "==> all ${2} checks passed"
+    exit 0
+    ;;
+esac
 
 echo "==> tier-1: configure + build + full ctest (preset: default)"
 cmake --preset default
@@ -47,24 +85,7 @@ if [[ "${FAST}" == 1 ]]; then
 fi
 
 for san in asan tsan; do
-  echo "==> crash suite under ${san} (ctest -L crash)"
-  cmake --preset "${san}"
-  cmake --build --preset "${san}" -j "${JOBS}"
-  ctest --preset "crash-${san}" -j "${JOBS}"
-  echo "==> directory stress under ${san}"
-  cmake --build --preset "${san}" -j "${JOBS}" --target bench_directory
-  "./build-${san}/bench/bench_directory" --stress-smoke
-  echo "==> batch smoke under ${san}"
-  cmake --build --preset "${san}" -j "${JOBS}" --target bench_batch
-  "./build-${san}/bench/bench_batch" --smoke
-  echo "==> eviction stress under ${san}"
-  "./build-${san}/bench/bench_directory" --evict
-  echo "==> store smoke under ${san}"
-  cmake --build --preset "${san}" -j "${JOBS}" --target bench_store
-  "./build-${san}/bench/bench_store" --smoke
-  echo "==> serve smoke under ${san}"
-  cmake --build --preset "${san}" -j "${JOBS}" --target bench_serve
-  "./build-${san}/bench/bench_serve" --smoke
+  run_sanitizer "${san}"
 done
 
 echo "==> all checks passed"

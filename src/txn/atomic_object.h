@@ -172,7 +172,7 @@ class AtomicObject {
   // object or manager locks.
   void WakeKilled(TxnId txn);
 
-  // Crash-restart replay (TxnManager::Restart): re-applies one committed
+  // Crash-restart replay (TxnManager::RestartFrom*): re-applies one committed
   // transaction's operations at this object through the recovery manager
   // and commits them, bypassing conflict locking and history recording —
   // recovery replays with no active transactions, and the replayed events

@@ -40,8 +40,11 @@
 //
 // Modes:
 //   kSync    — per-record append+fdatasync inline in Sequence (inside the
-//              object critical section). The PR 3 behavior, kept as the
-//              bench baseline.
+//              object critical section); the record is durable when the
+//              append returns and no flusher thread runs. This is the
+//              journal's one inline-sync mode: harnesses that want each
+//              record on disk before the next one use it, and benches
+//              use it as the per-record-sync baseline.
 //   kGroup   — the pipeline described above; ack waits for the watermark.
 //   kRelaxed — sequence and ack immediately; the flusher still makes the
 //              log durable in the background, but an acknowledged commit

@@ -21,10 +21,11 @@
 // correct, which is the interaction the paper is about.
 //
 // The in-memory record vector is the volatile view (it dies with the
-// process in a simulated crash); attaching a JournalWriter additionally
-// streams every commit record to a durable byte sink in the checksummed
-// frame format of journal_format.h, and crash recovery scans that image
-// back (see ScanJournalImage / TxnManager::RestartFromImage).
+// process in a simulated crash); attaching a GroupCommitPipeline makes the
+// journal durable: every record is sequenced through it onto a JournalWriter
+// in the checksummed frame format of journal_format.h, and crash recovery
+// scans that image back (TxnManager::RestartFromImage for one image,
+// TxnManager::RestartFromDir for a segmented directory).
 
 #ifndef CCR_TXN_JOURNAL_H_
 #define CCR_TXN_JOURNAL_H_
@@ -39,7 +40,6 @@
 namespace ccr {
 
 class GroupCommitPipeline;
-class JournalWriter;
 
 // Log sequence number: the 1-based position of a commit record in the
 // shared journal. LSNs are assigned under the journal mutex, so LSN order
@@ -108,29 +108,21 @@ class Journal {
   Journal(Journal&& other) noexcept
       : entries_(std::move(other.entries_)),
         base_lsn_(other.base_lsn_),
-        writer_(other.writer_),
         pipeline_(other.pipeline_) {}
   Journal& operator=(Journal&& other) noexcept {
     entries_ = std::move(other.entries_);
     base_lsn_ = other.base_lsn_;
-    writer_ = other.writer_;
     pipeline_ = other.pipeline_;
     return *this;
   }
 
-  // Durable mode, per-record sync: every AppendCommit is also framed and
-  // streamed through `writer` (under the journal mutex, so the writer sees
-  // appends serialized in commit order), with one fdatasync per record —
-  // inside the caller's critical section. Set before first use; the writer
-  // must outlive the journal's last append. Mutually exclusive with
-  // set_pipeline.
-  void set_writer(JournalWriter* writer) { writer_ = writer; }
-
-  // Durable mode, group commit: every AppendCommit is *sequenced* through
-  // `pipeline` (assigned an LSN, enqueued for the background flusher) and
-  // returns without touching the disk — the caller's critical section
-  // never pays for a sync. In the pipeline's kSync baseline mode the
-  // append+sync still happens inline. Mutually exclusive with set_writer.
+  // Durable mode: every AppendCommit/AppendLifecycle is *sequenced* through
+  // `pipeline` under the journal mutex (so the pipeline sees records in
+  // commit order). The pipeline's mode decides where the sync happens:
+  // kSync frames, appends and fdatasyncs each record inline, before the
+  // append returns; kGroup/kRelaxed enqueue it for the background flusher,
+  // so the caller's critical section never pays for a sync. Set before
+  // first use; nullptr returns the journal to volatile-only.
   void set_pipeline(GroupCommitPipeline* pipeline) { pipeline_ = pipeline; }
 
   // Post-restart continuation: the LSN space continues where the durable
@@ -149,15 +141,15 @@ class Journal {
   Lsn base_lsn() const;
 
   // Appends one atomic commit record and returns its LSN (kNoLsn when the
-  // journal is volatile-only — no writer or pipeline attached; the
-  // in-memory record is still kept). With a pipeline attached the record
-  // is durable only once the pipeline's watermark reaches the returned
-  // LSN; the transaction's ack must wait for it (TxnManager::Commit does).
+  // journal is volatile-only — no pipeline attached; the in-memory record
+  // is still kept). The record is durable only once the pipeline's
+  // watermark reaches the returned LSN; the transaction's ack must wait for
+  // it (TxnManager::Commit does).
   Lsn AppendCommit(TxnId txn, OpSeq ops);
 
   // Appends one object-lifecycle record (create/drop). Same durability
   // semantics as AppendCommit: the returned LSN is durable only once the
-  // pipeline watermark (or the per-record sync) covers it.
+  // pipeline watermark covers it.
   Lsn AppendLifecycle(LifecycleRecord record);
 
   // All commit records, in commit order, lifecycle records elided.
@@ -186,13 +178,13 @@ class Journal {
   Journal Prefix(size_t n) const;
 
  private:
-  // Shared append path; assigns the LSN and routes to pipeline/writer.
+  // Shared append path; assigns the LSN and sequences through the
+  // pipeline, if any.
   Lsn AppendEntry(Entry entry);
 
   mutable std::mutex mu_;
   std::vector<Entry> entries_;
   Lsn base_lsn_ = 0;
-  JournalWriter* writer_ = nullptr;
   GroupCommitPipeline* pipeline_ = nullptr;
 };
 

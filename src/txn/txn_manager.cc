@@ -365,43 +365,6 @@ Status TxnManager::ReplayContext::ApplyDrop(const ObjectId& id) {
   return Status::OK();
 }
 
-Status TxnManager::ReplayContext::ReplayCommitRecord(
-    const Journal::CommitRecord& record, Lsn lsn,
-    const std::map<ObjectId, Lsn>* ckpt_lsn, size_t* skipped) {
-  // A record's ops may interleave objects (response order); group them
-  // per object, preserving per-object order — object states are
-  // independent, so the grouped replay is effect-equal.
-  std::vector<std::pair<AtomicObject*, OpSeq>> grouped;
-  std::map<AtomicObject*, size_t> group_index;
-  for (const Operation& op : record.ops) {
-    if (ckpt_lsn != nullptr) {
-      const auto it = ckpt_lsn->find(op.object());
-      if (it != ckpt_lsn->end() && lsn <= it->second) {
-        // The object's installed image already reflects this op (the fuzzy
-        // overshoot) — and the image vouches for the id, so no
-        // unknown-object check applies.
-        if (skipped != nullptr) ++*skipped;
-        continue;
-      }
-    }
-    AtomicObject* obj = Find(op.object());
-    if (obj == nullptr) {
-      return Status::Internal(StrFormat(
-          "journal names %s object %s — restart system does not match the "
-          "journaled one",
-          dropped_.count(op.object()) != 0 ? "dropped" : "unknown",
-          op.object().c_str()));
-    }
-    const auto [it, inserted] = group_index.emplace(obj, grouped.size());
-    if (inserted) grouped.emplace_back(obj, OpSeq{});
-    grouped[it->second].second.push_back(op);
-  }
-  for (auto& [obj, ops] : grouped) {
-    CCR_RETURN_IF_ERROR(obj->ReplayCommitted(record.txn, ops, lsn));
-  }
-  return Status::OK();
-}
-
 void TxnManager::ReplayContext::Finalize(size_t* objects_created,
                                          size_t* objects_dropped) {
   size_t created_count = 0;
@@ -425,8 +388,8 @@ void TxnManager::ReplayContext::Finalize(size_t* objects_created,
     CCR_CHECK_MSG(s.ok(), "cannot retire %s after replay: %s", id.c_str(),
                   s.ToString().c_str());
   }
-  if (objects_created != nullptr) *objects_created = created_count;
-  if (objects_dropped != nullptr) *objects_dropped = dropped_.size();
+  *objects_created = created_count;
+  *objects_dropped = dropped_.size();
 }
 
 Status TxnManager::RestartGuarded(
@@ -525,125 +488,43 @@ Status TxnManager::InstallImageObjects(
         obj->adt().DecodeState(entry.encoded);
     if (!state.ok()) return state.status();
     obj->InstallCheckpoint(std::move(*state), entry.lsn);
-    if (installed != nullptr) ++*installed;
+    ++*installed;
   }
   return Status::OK();
 }
 
-Status TxnManager::Restart(const Journal& journal) {
-  return RestartGuarded([&](ReplayContext& ctx) {
-    // Store-preferring restart: install the store's durable checkpoint
-    // first and replay only what each image does not cover. Without a
-    // store (or before its first checkpoint) the map stays empty and this
-    // is a full replay.
-    std::map<ObjectId, Lsn> ckpt_lsn;
-    TxnId max_txn = 0;
-    if (store_ != nullptr) {
-      StatusOr<CheckpointImage> image = LoadCheckpointFromStore(store_);
-      if (!image.ok()) return image.status();
-      CCR_RETURN_IF_ERROR(
-          InstallImageObjects(ctx, *image, &ckpt_lsn, nullptr, nullptr));
-      max_txn = image->max_txn;
-    }
-    const std::map<ObjectId, Lsn>* covered_map =
-        ckpt_lsn.empty() ? nullptr : &ckpt_lsn;
-    const auto covered = [&](Lsn lsn, const ObjectId& id) {
-      const auto it = ckpt_lsn.find(id);
-      return it != ckpt_lsn.end() && lsn <= it->second;
-    };
-    Status status = Status::OK();
-    // Replayed LSNs must live in the journal's own numbering space: a
-    // journal continuing a prior generation (set_base_lsn) assigns its
-    // first record base+1, and per-object last-committed LSNs seeded here
-    // are later compared against journal.high_lsn() by checkpoints.
-    journal.ForEachEntry([&](Lsn lsn, const Journal::Entry& entry) {
-      if (!status.ok()) return;
-      if (entry.is_lifecycle) {
-        const LifecycleRecord& lc = entry.lifecycle;
-        if (covered(lsn, lc.object)) {
-          // The installed image's incarnation already reflects this
-          // lifecycle event (a covered create's incarnation is the
-          // image's own).
-          return;
-        }
-        if (lc.kind == LifecycleRecord::Kind::kDrop) {
-          status = ctx.ApplyDrop(lc.object);
-          return;
-        }
-        StatusOr<ReplayContext::CreateResult> created =
-            ctx.ApplyCreate(lc.object, lc.factory);
-        if (!created.ok()) {
-          status = created.status();
-        } else if (created->existed) {
-          // Serial in-order replay: apply the incarnation reset here.
-          created->object->ResetForRecovery();
-        }
-        return;
-      }
-      max_txn = std::max(max_txn, entry.commit.txn);
-      status = ctx.ReplayCommitRecord(entry.commit, lsn, covered_map, nullptr);
-    });
-    // Post-restart transactions must not reuse replayed ids: a reused id
-    // would journal a second commit record under an id that already has
-    // one.
-    if (status.ok()) AdvanceTxnWatermark(max_txn);
-    return status;
-  });
-}
-
 Status TxnManager::RestartFromImage(std::string_view image,
                                     RecoveryReport* report) {
-  return RestartGuarded([&](ReplayContext& ctx) {
-    // Stream the scan: each record is decoded, replayed, and discarded —
-    // the image is never materialized as a second in-memory journal.
-    // Like Restart, the store's checkpoint (when present) is installed
-    // first and covered records are skipped per object.
-    std::map<ObjectId, Lsn> ckpt_lsn;
-    TxnId max_txn = 0;
-    if (store_ != nullptr) {
-      StatusOr<CheckpointImage> store_image = LoadCheckpointFromStore(store_);
-      if (!store_image.ok()) return store_image.status();
-      CCR_RETURN_IF_ERROR(
-          InstallImageObjects(ctx, *store_image, &ckpt_lsn, nullptr, nullptr));
-      max_txn = store_image->max_txn;
-    }
-    const std::map<ObjectId, Lsn>* covered_map =
-        ckpt_lsn.empty() ? nullptr : &ckpt_lsn;
-    const auto covered = [&](Lsn lsn, const ObjectId& id) {
-      const auto it = ckpt_lsn.find(id);
-      return it != ckpt_lsn.end() && lsn <= it->second;
-    };
-    Lsn lsn = 0;
-    const Status status = ForEachJournalEntry(
-        image,
-        [&](Journal::Entry&& entry) {
-          ++lsn;
-          if (entry.is_lifecycle) {
-            const LifecycleRecord& lc = entry.lifecycle;
-            if (covered(lsn, lc.object)) return Status::OK();
-            if (lc.kind == LifecycleRecord::Kind::kDrop) {
-              return ctx.ApplyDrop(lc.object);
-            }
-            StatusOr<ReplayContext::CreateResult> created =
-                ctx.ApplyCreate(lc.object, lc.factory);
-            if (!created.ok()) return created.status();
-            if (created->existed) created->object->ResetForRecovery();
-            return Status::OK();
-          }
-          max_txn = std::max(max_txn, entry.commit.txn);
-          return ctx.ReplayCommitRecord(entry.commit, lsn, covered_map,
-                                        nullptr);
-        },
-        report);
-    if (status.ok()) AdvanceTxnWatermark(max_txn);
-    return status;
-  });
+  RestartSummary summary;
+  return ReplayJournal(
+      [&](Lsn after, const EntryFn& fn) {
+        Lsn lsn = 0;
+        return ForEachJournalEntry(
+            image,
+            [&](Journal::Entry&& entry) {
+              return ++lsn <= after ? Status::OK() : fn(lsn, std::move(entry));
+            },
+            report);
+      },
+      /*checkpoint_dir=*/"", RestartOptions{}, &summary);
 }
 
 StatusOr<RestartSummary> TxnManager::RestartFromDir(const std::string& dir,
                                                     RestartOptions options) {
   RestartSummary summary;
-  const Status status = RestartGuarded(
+  CCR_RETURN_IF_ERROR(ReplayJournal(
+      [&](Lsn after, const EntryFn& fn) {
+        return ForEachSegmentedEntry(dir, after, fn, &summary.scan);
+      },
+      dir, options, &summary));
+  return summary;
+}
+
+Status TxnManager::ReplayJournal(const EntryScan& scan,
+                                 const std::string& checkpoint_dir,
+                                 RestartOptions options,
+                                 RestartSummary* summary) {
+  return RestartGuarded(
       [&](ReplayContext& ctx) {
         // Prefer the store's checkpoint (its meta record) over the
         // monolithic file: with a store attached the file may not even be
@@ -656,15 +537,16 @@ StatusOr<RestartSummary> TxnManager::RestartFromDir(const std::string& dir,
           if (!from_store.ok()) return from_store.status();
           if (from_store->anchor != 0 || !from_store->objects.empty()) {
             image = std::move(*from_store);
-            summary.from_store = true;
+            summary->from_store = true;
           }
         }
-        if (!summary.from_store) {
-          StatusOr<CheckpointImage> from_file = Checkpointer::LoadNewest(dir);
+        if (!summary->from_store && !checkpoint_dir.empty()) {
+          StatusOr<CheckpointImage> from_file =
+              Checkpointer::LoadNewest(checkpoint_dir);
           if (!from_file.ok()) return from_file.status();
           image = std::move(*from_file);
         }
-        summary.checkpoint_anchor = image.anchor;
+        summary->checkpoint_anchor = image.anchor;
 
         // Install the checkpointed states. `dyn` entries name objects this
         // manager never registered — re-instantiate them through the
@@ -676,11 +558,10 @@ StatusOr<RestartSummary> TxnManager::RestartFromDir(const std::string& dir,
         // initial state.
         std::map<ObjectId, Lsn> ckpt_lsn;
         std::map<ObjectId, const CheckpointImage::ObjectEntry*> deferred;
-        const bool lazy = options.lazy_store_install && summary.from_store;
-        size_t installed = 0;
+        const bool lazy = options.lazy_store_install && summary->from_store;
         CCR_RETURN_IF_ERROR(InstallImageObjects(
-            ctx, image, &ckpt_lsn, lazy ? &deferred : nullptr, &installed));
-        summary.checkpoint_objects = installed;
+            ctx, image, &ckpt_lsn, lazy ? &deferred : nullptr,
+            &summary->checkpoint_objects));
 
         // Materializes a deferred image entry once the tail names its
         // object. Runs during the serial scan only.
@@ -696,17 +577,19 @@ StatusOr<RestartSummary> TxnManager::RestartFromDir(const std::string& dir,
               created->object->adt().DecodeState(entry.encoded);
           if (!state.ok()) return state.status();
           created->object->InstallCheckpoint(std::move(*state), entry.lsn);
-          ++summary.checkpoint_objects;
+          ++summary->checkpoint_objects;
           deferred.erase(dit);
           return created->object;
         };
 
-        // Bucket the tail per object. Within a bucket, entries keep LSN
+        // Per-object replay buckets. Within a bucket, entries keep LSN
         // order — including `create_reset` markers, which place an
         // incarnation boundary between an older incarnation's (purged)
         // records and the new incarnation's ops. Across buckets there is
         // no ordering requirement (object states are independent), which
-        // is exactly what lets the replay fan out.
+        // is exactly what lets the replay fan out. On one thread the
+        // buckets are drained after every entry, so memory stays bounded
+        // by one record; with more, they fill over the whole tail first.
         struct TailEntry {
           bool create_reset;  // reset-to-initial marker, no ops
           TxnId txn;
@@ -714,155 +597,13 @@ StatusOr<RestartSummary> TxnManager::RestartFromDir(const std::string& dir,
           OpSeq ops;
         };
         std::vector<std::pair<AtomicObject*, std::vector<TailEntry>>> buckets;
-        std::map<ObjectId, size_t> bucket_index;
-        auto bucket_for = [&](const ObjectId& id,
-                              AtomicObject* obj) -> std::vector<TailEntry>& {
-          const auto [bit, fresh] = bucket_index.emplace(id, buckets.size());
+        std::map<AtomicObject*, size_t> bucket_index;
+        const auto bucket_for =
+            [&](AtomicObject* obj) -> std::vector<TailEntry>& {
+          const auto [bit, fresh] = bucket_index.emplace(obj, buckets.size());
           if (fresh) buckets.emplace_back(obj, std::vector<TailEntry>{});
           return buckets[bit->second].second;
         };
-
-        // Ops naming an id that is neither registered, image-installed,
-        // nor tail-created: legal only when a later `drop` record shows
-        // the whole incarnation was superseded by the checkpoint (the
-        // object was dropped before the image walk, so the image has no
-        // entry, but its pre-drop tail records survive). Tracked here and
-        // judged once the scan completes.
-        std::map<ObjectId, bool> orphan_ok;
-
-        TxnId max_txn = image.max_txn;
-        Lsn high_lsn = image.anchor;
-        const Status scan_status = ForEachSegmentedEntry(
-            dir, image.anchor,
-            [&](Lsn lsn, Journal::Entry&& entry) {
-              high_lsn = std::max(high_lsn, lsn);
-              const auto covered = [&](const ObjectId& id) {
-                const auto it = ckpt_lsn.find(id);
-                return it != ckpt_lsn.end() && lsn <= it->second;
-              };
-              if (entry.is_lifecycle) {
-                const LifecycleRecord& lc = entry.lifecycle;
-                if (covered(lc.object)) {
-                  // Fuzzy overshoot: the object's snapshot was taken after
-                  // this lifecycle event, so the image already reflects it
-                  // (an incarnation's checkpoint LSN is 0 or exceeds its
-                  // create LSN — a covered create's incarnation is the
-                  // image's own).
-                  ++summary.tail_skipped;
-                  return Status::OK();
-                }
-                if (lc.kind == LifecycleRecord::Kind::kDrop) {
-                  if (ctx.Find(lc.object) == nullptr &&
-                      !ctx.Dropped(lc.object)) {
-                    const auto dit = deferred.find(lc.object);
-                    if (dit != deferred.end()) {
-                      // Drop of a lazily deferred object: it never
-                      // materializes, and its store key must die again —
-                      // the pre-crash buffered Delete may have been lost.
-                      deferred.erase(dit);
-                      ckpt_lsn.erase(lc.object);
-                      ctx.NoteStoreDead(lc.object);
-                      orphan_ok[lc.object] = true;
-                      ++summary.tail_records;
-                      return Status::OK();
-                    }
-                    // Drop of an id this restart never saw: resolves the
-                    // orphaned ops of a checkpoint-superseded incarnation.
-                    // Its store key (if any) is equally dead.
-                    orphan_ok[lc.object] = true;
-                    ctx.NoteStoreDead(lc.object);
-                    ++summary.tail_records;
-                    return Status::OK();
-                  }
-                  CCR_RETURN_IF_ERROR(ctx.ApplyDrop(lc.object));
-                  // The dropped incarnation's buffered tail is dead state:
-                  // purge it instead of replaying a partial history whose
-                  // effect the drop (or a following create's reset)
-                  // discards anyway.
-                  const auto bit = bucket_index.find(lc.object);
-                  if (bit != bucket_index.end()) {
-                    buckets[bit->second].second.clear();
-                  }
-                  ++summary.tail_records;
-                  return Status::OK();
-                }
-                // An uncovered create supersedes any parked image: the new
-                // incarnation starts fresh (its ops all carry LSNs above
-                // the stale image's, so the ckpt_lsn entry can never
-                // cover them).
-                deferred.erase(lc.object);
-                StatusOr<ReplayContext::CreateResult> created =
-                    ctx.ApplyCreate(lc.object, lc.factory);
-                if (!created.ok()) return created.status();
-                if (created->existed) {
-                  // The object already holds state (image install, or the
-                  // registered initial state): order the incarnation reset
-                  // into its bucket so it lands between the old
-                  // incarnation's records and the new one's ops.
-                  bucket_for(lc.object, created->object)
-                      .push_back(TailEntry{true, 0, lsn, OpSeq{}});
-                }
-                ++summary.tail_records;
-                return Status::OK();
-              }
-              const Journal::CommitRecord& record = entry.commit;
-              max_txn = std::max(max_txn, record.txn);
-              for (Operation& op : entry.commit.ops) {
-                AtomicObject* obj = ctx.Find(op.object());
-                if (obj == nullptr) {
-                  const auto dit = deferred.find(op.object());
-                  if (dit != deferred.end()) {
-                    if (lsn <= dit->second->lsn) {
-                      // Covered by the parked image: skip without
-                      // materializing — the object stays deferred.
-                      ++summary.tail_skipped;
-                      continue;
-                    }
-                    StatusOr<AtomicObject*> mat = materialize(dit);
-                    if (!mat.ok()) return mat.status();
-                    obj = *mat;
-                  } else if (ctx.Dropped(op.object())) {
-                    return Status::Internal(StrFormat(
-                        "journal names object %s after its drop record",
-                        op.object().c_str()));
-                  } else {
-                    orphan_ok.try_emplace(op.object(), false);
-                    continue;
-                  }
-                }
-                if (covered(op.object())) {
-                  // The fuzzy overshoot: this object's snapshot already
-                  // includes the record even though it lies past the
-                  // anchor.
-                  ++summary.tail_skipped;
-                  continue;
-                }
-                std::vector<TailEntry>& bucket = bucket_for(op.object(), obj);
-                if (!bucket.empty() && !bucket.back().create_reset &&
-                    bucket.back().txn == record.txn &&
-                    bucket.back().lsn == lsn) {
-                  bucket.back().ops.push_back(std::move(op));
-                } else {
-                  bucket.push_back(
-                      TailEntry{false, record.txn, lsn, OpSeq{std::move(op)}});
-                }
-              }
-              ++summary.tail_records;
-              return Status::OK();
-            },
-            &summary.scan);
-        if (!scan_status.ok()) return scan_status;
-        for (const auto& [id, ok] : orphan_ok) {
-          if (!ok) {
-            return Status::Internal(StrFormat(
-                "journal names unknown object %s — restart system does not "
-                "match the journaled one", id.c_str()));
-          }
-        }
-
-        // Fan the buckets out. Each worker owns whole buckets (claimed off
-        // an atomic cursor), so a given object is replayed by exactly one
-        // thread and needs no cross-thread ordering.
         const auto replay_bucket = [](AtomicObject* obj,
                                       std::vector<TailEntry>& bucket) {
           for (TailEntry& entry : bucket) {
@@ -875,16 +616,154 @@ StatusOr<RestartSummary> TxnManager::RestartFromDir(const std::string& dir,
           }
           return Status::OK();
         };
-        const int threads = std::max(
-            1, std::min<int>(options.replay_threads,
-                             static_cast<int>(buckets.size())));
-        Status replay_status = Status::OK();
-        if (threads <= 1) {
+        const auto drain = [&]() -> Status {
           for (auto& [obj, bucket] : buckets) {
-            replay_status = replay_bucket(obj, bucket);
-            if (!replay_status.ok()) break;
+            CCR_RETURN_IF_ERROR(replay_bucket(obj, bucket));
           }
+          buckets.clear();
+          bucket_index.clear();
+          return Status::OK();
+        };
+        const bool streamed = options.replay_threads <= 1;
+
+        // Ops naming an id that is neither registered, image-installed,
+        // nor tail-created: legal only when a later `drop` record shows
+        // the whole incarnation was superseded by the checkpoint (the
+        // object was dropped before the image walk, so the image has no
+        // entry, but its pre-drop tail records survive). Tracked here and
+        // judged once the scan completes.
+        std::map<ObjectId, bool> orphan_ok;
+
+        // Routes one entry: lifecycle effects apply now (the scan is
+        // serial); commit ops land in their objects' buckets.
+        const auto route = [&](Lsn lsn, Journal::Entry& entry) -> Status {
+          const auto covered = [&](const ObjectId& id) {
+            const auto it = ckpt_lsn.find(id);
+            return it != ckpt_lsn.end() && lsn <= it->second;
+          };
+          if (entry.is_lifecycle) {
+            const LifecycleRecord& lc = entry.lifecycle;
+            if (covered(lc.object)) {
+              // Fuzzy overshoot: the object's snapshot was taken after
+              // this lifecycle event, so the image already reflects it
+              // (an incarnation's checkpoint LSN is 0 or exceeds its
+              // create LSN — a covered create's incarnation is the
+              // image's own).
+              ++summary->tail_skipped;
+              return Status::OK();
+            }
+            ++summary->tail_records;
+            if (lc.kind == LifecycleRecord::Kind::kDrop) {
+              AtomicObject* obj = ctx.Find(lc.object);
+              if (obj == nullptr && !ctx.Dropped(lc.object)) {
+                // Drop of an id this restart never saw: resolves the
+                // orphaned ops of a checkpoint-superseded incarnation. Or
+                // drop of a lazily deferred object: it never materializes.
+                // Either way its store key must die again — the pre-crash
+                // buffered Delete may have been lost.
+                if (deferred.erase(lc.object) != 0) ckpt_lsn.erase(lc.object);
+                orphan_ok[lc.object] = true;
+                ctx.NoteStoreDead(lc.object);
+                return Status::OK();
+              }
+              CCR_RETURN_IF_ERROR(ctx.ApplyDrop(lc.object));
+              // The dropped incarnation's buffered tail is dead state:
+              // purge it instead of replaying a partial history whose
+              // effect the drop (or a following create's reset) discards
+              // anyway.
+              const auto bit = bucket_index.find(obj);
+              if (bit != bucket_index.end()) {
+                buckets[bit->second].second.clear();
+              }
+              return Status::OK();
+            }
+            // An uncovered create supersedes any parked image: the new
+            // incarnation starts fresh (its ops all carry LSNs above the
+            // stale image's, so the ckpt_lsn entry can never cover them).
+            deferred.erase(lc.object);
+            StatusOr<ReplayContext::CreateResult> created =
+                ctx.ApplyCreate(lc.object, lc.factory);
+            if (!created.ok()) return created.status();
+            if (created->existed) {
+              // The object already holds state (image install, or the
+              // registered initial state): order the incarnation reset
+              // into its bucket so it lands between the old incarnation's
+              // records and the new one's ops.
+              bucket_for(created->object)
+                  .push_back(TailEntry{true, 0, lsn, OpSeq{}});
+            }
+            return Status::OK();
+          }
+          const TxnId txn = entry.commit.txn;
+          summary->max_txn = std::max(summary->max_txn, txn);
+          ++summary->tail_records;
+          for (Operation& op : entry.commit.ops) {
+            AtomicObject* obj = ctx.Find(op.object());
+            if (obj == nullptr) {
+              const auto dit = deferred.find(op.object());
+              if (dit != deferred.end()) {
+                if (lsn <= dit->second->lsn) {
+                  // Covered by the parked image: skip without
+                  // materializing — the object stays deferred.
+                  ++summary->tail_skipped;
+                  continue;
+                }
+                StatusOr<AtomicObject*> mat = materialize(dit);
+                if (!mat.ok()) return mat.status();
+                obj = *mat;
+              } else if (ctx.Dropped(op.object())) {
+                return Status::Internal(StrFormat(
+                    "journal names object %s after its drop record",
+                    op.object().c_str()));
+              } else {
+                orphan_ok.try_emplace(op.object(), false);
+                continue;
+              }
+            }
+            if (covered(op.object())) {
+              // The fuzzy overshoot: this object's snapshot already
+              // includes the record even though it lies past the anchor.
+              ++summary->tail_skipped;
+              continue;
+            }
+            std::vector<TailEntry>& bucket = bucket_for(obj);
+            if (!bucket.empty() && !bucket.back().create_reset &&
+                bucket.back().lsn == lsn) {
+              bucket.back().ops.push_back(std::move(op));
+            } else {
+              bucket.push_back(
+                  TailEntry{false, txn, lsn, OpSeq{std::move(op)}});
+            }
+          }
+          return Status::OK();
+        };
+
+        summary->max_txn = image.max_txn;
+        summary->high_lsn = image.anchor;
+        CCR_RETURN_IF_ERROR(
+            scan(image.anchor, [&](Lsn lsn, Journal::Entry&& entry) {
+              summary->high_lsn = std::max(summary->high_lsn, lsn);
+              CCR_RETURN_IF_ERROR(route(lsn, entry));
+              return streamed ? drain() : Status::OK();
+            }));
+        for (const auto& [id, ok] : orphan_ok) {
+          if (!ok) {
+            return Status::Internal(StrFormat(
+                "journal names unknown object %s — restart system does not "
+                "match the journaled one", id.c_str()));
+          }
+        }
+
+        // Fan the buckets out. Each worker owns whole buckets (claimed off
+        // an atomic cursor), so a given object is replayed by exactly one
+        // thread and needs no cross-thread ordering.
+        const int threads =
+            std::min<int>(options.replay_threads,
+                          static_cast<int>(buckets.size()));
+        if (threads <= 1) {
+          CCR_RETURN_IF_ERROR(drain());
         } else {
+          Status replay_status = Status::OK();
           std::atomic<size_t> cursor{0};
           std::mutex error_mu;
           std::vector<std::thread> pool;
@@ -906,18 +785,17 @@ StatusOr<RestartSummary> TxnManager::RestartFromDir(const std::string& dir,
             });
           }
           for (std::thread& worker : pool) worker.join();
+          if (!replay_status.ok()) return replay_status;
         }
-        if (!replay_status.ok()) return replay_status;
 
-        AdvanceTxnWatermark(max_txn);
-        summary.max_txn = max_txn;
-        summary.high_lsn = high_lsn;
-        summary.store_deferred = deferred.size();
+        // Post-restart transactions must not reuse replayed ids: a reused
+        // id would journal a second commit record under an id that
+        // already has one.
+        AdvanceTxnWatermark(summary->max_txn);
+        summary->store_deferred = deferred.size();
         return Status::OK();
       },
-      &summary.objects_created, &summary.objects_dropped);
-  if (!status.ok()) return status;
-  return summary;
+      &summary->objects_created, &summary->objects_dropped);
 }
 
 std::shared_ptr<Transaction> TxnManager::Begin() {

@@ -230,35 +230,39 @@ class TxnManager {
   // drops, max stripe depth).
   DirectoryStats directory_stats() const { return directory_.stats(); }
 
-  // Crash restart: replays a journal's commit records in commit order
-  // through the objects' recovery managers, rebuilding every object's
-  // committed state. Call on a freshly built manager (same objects
-  // re-added, no live transactions). Records naming unknown objects or
-  // operations not enabled at replay are kInternal — the journal and the
-  // system configuration disagree. Journals attached to the recovery
-  // managers are detached for the duration (replayed commits are already
-  // durable; re-journaling them would double them).
+  // Crash restart. Both entry points below replay the journal's records
+  // in commit (LSN) order through the objects' recovery managers,
+  // rebuilding every object's committed state. Call on a freshly built
+  // manager (same objects re-added, same factories registered, no live
+  // transactions). The object store's checkpoint, when one is attached and
+  // holds one, is installed first: records at or below its anchor are
+  // skipped, and so is every later record its object's own image LSN
+  // already covers. Records naming unknown objects or operations not
+  // enabled at replay are kInternal — the journal and the system
+  // configuration disagree. Journals attached to the recovery managers are
+  // detached for the duration (replayed commits are already durable;
+  // re-journaling them would double them).
   //
   // Fail-atomic: on any error every object is reset to its ADT's initial
   // state — a half-replayed restart never leaks into service as a valid
   // one. The caller may retry with a repaired journal or discard the
   // manager.
-  Status Restart(const Journal& journal);
-
-  // Scans a crash image (the durable journal's post-crash bytes) under the
-  // torn-tail truncation rule, replaying each record as it is decoded —
-  // restart memory stays bounded by one record, not the journal.
-  // `report` (optional) receives the scan outcome. Mid-journal corruption
-  // is rejected with kInternal — a durable prefix was damaged, which
-  // truncation cannot repair honestly. Fail-atomic like Restart.
+  //
+  // RestartFromImage scans one crash image (the durable journal's
+  // post-crash bytes, LSNs counted from 1) under the torn-tail truncation
+  // rule, replaying each record as it is decoded — restart memory stays
+  // bounded by one record, not the journal. `report` (optional) receives
+  // the scan outcome. Mid-journal corruption is rejected with kInternal —
+  // a durable prefix was damaged, which truncation cannot repair honestly.
   Status RestartFromImage(std::string_view image, RecoveryReport* report);
 
   // Checkpoint-aware restart from a segmented journal directory: installs
-  // the newest intact checkpoint's per-object states, then replays only
-  // the records past its anchor, skipping per object what its checkpoint
-  // LSN already covers, fanned out over options.replay_threads (per-object
-  // buckets). Restart cost is the post-checkpoint tail, not total history.
-  // Fail-atomic like Restart. On success, resume journaling at
+  // the store's checkpoint or else the directory's newest intact
+  // checkpoint file, then replays only the records past its anchor. With
+  // options.replay_threads > 1 the tail is bucketed per object and the
+  // buckets fan out over that many threads; on one thread each record is
+  // applied as it is decoded. Restart cost is the post-checkpoint tail,
+  // not total history. On success, resume journaling at
   // summary.high_lsn + 1 (Journal::set_base_lsn, GroupCommitOptions::
   // first_lsn, SegmentedFileSink::Open's first_lsn).
   StatusOr<RestartSummary> RestartFromDir(const std::string& dir,
@@ -308,8 +312,8 @@ class TxnManager {
   //
   // Commit of a batch transaction journals ONE multi-object commit record
   // covering every touched object — one LSN, one frame append, one
-  // group-commit watermark wait — replayed all-or-nothing by Restart,
-  // RestartFromImage, and RestartFromDir.
+  // group-commit watermark wait — replayed all-or-nothing by
+  // RestartFromImage and RestartFromDir.
   StatusOr<std::vector<Value>> ExecuteBatch(Transaction* txn,
                                             std::span<const BatchOp> ops);
 
@@ -358,8 +362,8 @@ class TxnManager {
   // drops retire them. Created objects stay owned here — outside the
   // directory — until Finalize, so an errored restart discards them
   // without ever publishing (the fail-atomicity guarantee extends to
-  // lifecycle). Single-threaded: RestartFromDir applies lifecycle effects
-  // during its (serial) scan, before the parallel tail fan-out.
+  // lifecycle). Single-threaded: ReplayJournal applies lifecycle effects
+  // during its (serial) scan, before any parallel tail fan-out.
   class ReplayContext {
    public:
     ReplayContext(TxnManager* manager,
@@ -378,9 +382,8 @@ class TxnManager {
       AtomicObject* object = nullptr;
       // True when the id already existed (pre-registered, or a create
       // following a drop of the same id). A create record is an
-      // incarnation boundary; the CALLER owns the reset to initial state —
-      // immediately for serial in-order replay, or ordered into the
-      // object's replay bucket for the parallel tail.
+      // incarnation boundary; the CALLER owns the reset to initial state,
+      // ordered into the object's replay bucket.
       bool existed = false;
     };
 
@@ -393,16 +396,6 @@ class TxnManager {
     // Applies a journaled `drop <id>`. kInternal when `id` is absent or
     // already dropped.
     Status ApplyDrop(const ObjectId& id);
-
-    // Replays one commit record (per-object grouping, order preserved).
-    // kInternal when it names an unknown or dropped object. `ckpt_lsn`
-    // (optional) holds per-object installed-image LSNs: ops at or below
-    // their object's image LSN are skipped (the fuzzy overshoot, counted
-    // into `skipped`) — and an op whose object has a map entry is never an
-    // unknown-object error, its image vouches for it.
-    Status ReplayCommitRecord(const Journal::CommitRecord& record, Lsn lsn,
-                              const std::map<ObjectId, Lsn>* ckpt_lsn = nullptr,
-                              size_t* skipped = nullptr);
 
     // Ids whose journaled drop was applied in this replay, and extra ids
     // the caller flagged (orphan drops): after a successful restart the
@@ -428,14 +421,30 @@ class TxnManager {
     std::set<ObjectId> store_dead_;
   };
 
+  // Streams a journal's entries with their LSNs, in LSN order, skipping
+  // those at or below `after` (the installed checkpoint covers them).
+  using EntryFn = std::function<Status(Lsn, Journal::Entry&&)>;
+  using EntryScan = std::function<Status(Lsn after, const EntryFn& fn)>;
+
+  // The one restart replay routine behind RestartFromImage and
+  // RestartFromDir; they differ only in `scan` and in where a checkpoint
+  // comes from when the store holds none (`checkpoint_dir`'s newest file;
+  // empty: nowhere). Installs the checkpoint, then applies the rules for
+  // each entry — lifecycle create and drop, per-object image coverage,
+  // lazily deferred store images, orphan drops — and replays the commit
+  // records per object: streamed on one thread, bucketed and fanned out
+  // over options.replay_threads otherwise. Fills `summary`.
+  Status ReplayJournal(const EntryScan& scan,
+                       const std::string& checkpoint_dir,
+                       RestartOptions options, RestartSummary* summary);
+
   // Shared restart plumbing: refuses live transactions, detaches journals,
   // runs `replay` with a context over the registered objects, reattaches,
   // and on error resets every object to its initial state (the
-  // fail-atomicity guarantee); on success finalizes lifecycle effects into
-  // (created, dropped) if the out-params are non-null.
+  // fail-atomicity guarantee); on success finalizes lifecycle effects and
+  // reports their (created, dropped) counts.
   Status RestartGuarded(const std::function<Status(ReplayContext&)>& replay,
-                        size_t* objects_created = nullptr,
-                        size_t* objects_dropped = nullptr);
+                        size_t* objects_created, size_t* objects_dropped);
 
   // Instantiates an object wired to this manager (recorder shard, deadlock
   // detector registration, kill function, lock options, factory name).

@@ -140,8 +140,9 @@ TEST_P(BatchTest, OneMultiObjectCommitRecord) {
   auto counters = AddCounters(&manager, GetParam(), 3);
   MemorySink sink;
   JournalWriter writer(&sink);
+  GroupCommitPipeline pipeline(&writer, {.mode = DurabilityMode::kSync});
   Journal journal;
-  journal.set_writer(&writer);  // durable: appends assign real LSNs
+  journal.set_pipeline(&pipeline);  // durable: appends assign real LSNs
   for (AtomicObject* obj : manager.objects()) {
     obj->recovery().set_journal(&journal);
   }
@@ -174,11 +175,16 @@ TEST_P(BatchTest, OneMultiObjectCommitRecord) {
   EXPECT_EQ(journal.size(), 4u);
 }
 
-// The multi-object record replays atomically through the serial Restart
-// path: a fresh system recovers every object's batch effects.
+// The multi-object record replays atomically through the streamed
+// RestartFromImage path: a fresh system recovers every object's batch
+// effects.
 TEST_P(BatchTest, MultiObjectRecordReplaysThroughRestart) {
   const Method method = GetParam();
+  MemorySink sink;
+  JournalWriter writer(&sink);
+  GroupCommitPipeline pipeline(&writer, {.mode = DurabilityMode::kSync});
   Journal journal;
+  journal.set_pipeline(&pipeline);
   {
     TxnManager manager;
     auto counters = AddCounters(&manager, method, 3);
@@ -197,7 +203,7 @@ TEST_P(BatchTest, MultiObjectRecordReplaysThroughRestart) {
   }
   TxnManager restarted;
   AddCounters(&restarted, method, 3);
-  ASSERT_TRUE(restarted.Restart(journal).ok());
+  ASSERT_TRUE(restarted.RestartFromImage(sink.image(), nullptr).ok());
   EXPECT_EQ(CounterValue(restarted.object("C0")), 1 + 2 + 3 + 4);
   EXPECT_EQ(CounterValue(restarted.object("C1")), 2 * (1 + 2 + 3 + 4));
   EXPECT_EQ(CounterValue(restarted.object("C2")), 3 * (1 + 2 + 3 + 4));

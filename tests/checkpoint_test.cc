@@ -34,6 +34,7 @@
 #include "sim/crash_harness.h"
 #include "txn/checkpoint.h"
 #include "txn/du_recovery.h"
+#include "txn/group_commit.h"
 #include "txn/journal_format.h"
 #include "txn/journal_io.h"
 #include "txn/txn_manager.h"
@@ -537,6 +538,7 @@ struct LifecycleWorld {
   Journal journal;
   std::unique_ptr<SegmentedFileSink> sink;
   std::unique_ptr<JournalWriter> writer;
+  std::unique_ptr<GroupCommitPipeline> pipeline;
 
   explicit LifecycleWorld(uint64_t max_segment_bytes = 160) {
     TwoObjectFactory(&manager);
@@ -547,7 +549,9 @@ struct LifecycleWorld {
     CCR_CHECK(opened.ok());
     sink = std::move(*opened);
     writer = std::make_unique<JournalWriter>(sink.get());
-    journal.set_writer(writer.get());
+    pipeline = std::make_unique<GroupCommitPipeline>(
+        writer.get(), GroupCommitOptions{.mode = DurabilityMode::kSync});
+    journal.set_pipeline(pipeline.get());
     for (AtomicObject* obj : manager.objects()) {
       obj->recovery().set_journal(&journal);
     }
@@ -635,9 +639,12 @@ TEST(RestartFromDirTest, LsnSpaceContinuesAcrossRestart) {
       SegmentedFileSink::Open(dir_ptr->path(), summary->high_lsn + 1, options);
   ASSERT_TRUE(sink2.ok());
   JournalWriter writer2(sink2->get());
+  GroupCommitPipeline pipeline2(
+      &writer2, {.mode = DurabilityMode::kSync,
+                 .first_lsn = summary->high_lsn + 1});
   Journal journal2;
   journal2.set_base_lsn(summary->high_lsn);
-  journal2.set_writer(&writer2);
+  journal2.set_pipeline(&pipeline2);
   for (AtomicObject* obj : gen2.objects()) {
     obj->recovery().set_journal(&journal2);
   }
@@ -670,7 +677,8 @@ TEST(RestartFromDirTest, TornTailToleratedAcrossTwoRestarts) {
   const Lsn high = world.journal.high_lsn();
   // The crash: drop the writer stack, then leave a half-written record on
   // the active segment's tail.
-  world.journal.set_writer(nullptr);
+  world.journal.set_pipeline(nullptr);
+  world.pipeline.reset();
   world.writer.reset();
   world.sink.reset();
   const std::string frame = EncodeCommitRecord(DepositRecord(99, 1));
@@ -690,9 +698,11 @@ TEST(RestartFromDirTest, TornTailToleratedAcrossTwoRestarts) {
       SegmentedFileSink::Open(world.dir.path(), high + 1, options);
   ASSERT_TRUE(sink2.ok()) << sink2.status().ToString();
   JournalWriter writer2(sink2->get());
+  GroupCommitPipeline pipeline2(
+      &writer2, {.mode = DurabilityMode::kSync, .first_lsn = high + 1});
   Journal journal2;
   journal2.set_base_lsn(high);
-  journal2.set_writer(&writer2);
+  journal2.set_pipeline(&pipeline2);
   for (AtomicObject* obj : gen2.objects()) {
     obj->recovery().set_journal(&journal2);
   }
@@ -720,20 +730,42 @@ TEST(RestartFromDirTest, TornTailToleratedAcrossTwoRestarts) {
 }
 
 TEST(RestartTest, ReplayLsnsLiveInTheJournalsBaseSpace) {
-  TxnManager manager;
-  TwoObjectFactory(&manager);
+  // A journal continuing a prior generation that ended at LSN 5 with a
+  // checkpoint: its records carry LSNs 6, 7.
+  TempDir dir;
+  {
+    TxnManager prior;
+    TwoObjectFactory(&prior);
+    ASSERT_TRUE(Checkpointer(dir.path()).Write(&prior, 5).ok());
+  }
+  StatusOr<std::unique_ptr<SegmentedFileSink>> sink =
+      SegmentedFileSink::Open(dir.path(), 6, SegmentedSinkOptions{});
+  ASSERT_TRUE(sink.ok());
+  JournalWriter writer(sink->get());
+  GroupCommitPipeline pipeline(
+      &writer, {.mode = DurabilityMode::kSync, .first_lsn = 6});
   Journal journal;
   journal.set_base_lsn(5);
+  journal.set_pipeline(&pipeline);
   auto ba = MakeBankAccount();
   journal.AppendCommit(1, OpSeq{ba->Deposit(10)});
   journal.AppendCommit(2, OpSeq{ba->Deposit(20)});
-  ASSERT_TRUE(manager.Restart(journal).ok());
-  // Per-object last-committed LSNs must land in the journal's own
-  // numbering space (base+1, base+2), not a private count-from-1 space: a
-  // checkpoint written after this restart pairs them with
-  // journal.high_lsn(), and a mismatch would mis-skip tail records.
-  EXPECT_EQ(journal.high_lsn(), 7u);
-  EXPECT_EQ(manager.object("BA")->last_committed_lsn(), journal.high_lsn());
+
+  for (const int threads : {1, 3}) {
+    TxnManager manager;
+    TwoObjectFactory(&manager);
+    StatusOr<RestartSummary> summary =
+        manager.RestartFromDir(dir.path(), RestartOptions{threads});
+    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    // Per-object last-committed LSNs must land in the journal's own
+    // numbering space (base+1, base+2), not a private count-from-1 space:
+    // a checkpoint written after this restart pairs them with
+    // journal.high_lsn(), and a mismatch would mis-skip tail records.
+    EXPECT_EQ(journal.high_lsn(), 7u);
+    EXPECT_EQ(summary->high_lsn, journal.high_lsn());
+    EXPECT_EQ(manager.object("BA")->last_committed_lsn(), journal.high_lsn())
+        << threads << " threads";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -781,15 +813,33 @@ TEST(FailAtomicRestartTest, ErrorPathLeavesObjectsEmpty) {
             57);
 }
 
-TEST(FailAtomicRestartTest, InMemoryRestartAlsoResets) {
+// The directory path is fail-atomic too, whether it streams the records
+// (one thread: the deposit is applied before the alien record fails the
+// restart) or buckets them for the fan-out.
+TEST(FailAtomicRestartTest, DirRestartAlsoResets) {
   auto ba = MakeBankAccount();
-  Journal journal({DepositRecord(1, 50), AlienRecord(2)});
-  TxnManager manager;
-  AtomicObject* obj =
-      manager.AddObject("BA", ba, MakeNrbcConflict(ba),
-                        std::make_unique<UipRecovery>(ba));
-  ASSERT_EQ(manager.Restart(journal).code(), StatusCode::kInternal);
-  EXPECT_TRUE(obj->CommittedState()->Equals(*ba->spec().InitialState()));
+  TempDir dir;
+  {
+    StatusOr<std::unique_ptr<SegmentedFileSink>> sink =
+        SegmentedFileSink::Open(dir.path(), 1, SegmentedSinkOptions{});
+    ASSERT_TRUE(sink.ok());
+    ASSERT_TRUE((*sink)->Append(EncodeCommitRecord(DepositRecord(1, 50))).ok());
+    ASSERT_TRUE((*sink)->Append(EncodeCommitRecord(AlienRecord(2))).ok());
+    ASSERT_TRUE((*sink)->Sync().ok());
+  }
+  for (const int threads : {1, 3}) {
+    TxnManager manager;
+    AtomicObject* obj =
+        manager.AddObject("BA", ba, MakeNrbcConflict(ba),
+                          std::make_unique<UipRecovery>(ba));
+    EXPECT_EQ(manager.RestartFromDir(dir.path(), RestartOptions{threads})
+                  .status()
+                  .code(),
+              StatusCode::kInternal);
+    EXPECT_TRUE(obj->CommittedState()->Equals(*ba->spec().InitialState()))
+        << threads << " threads";
+    EXPECT_EQ(obj->last_committed_lsn(), kNoLsn);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -879,8 +929,9 @@ TEST(FuzzyCheckpointTest, CheckpointsTakenUnderLoadRestartExactly) {
       SegmentedFileSink::Open(dir.path(), 1, options);
   ASSERT_TRUE(sink.ok());
   JournalWriter writer(sink->get());
+  GroupCommitPipeline pipeline(&writer, {.mode = DurabilityMode::kSync});
   Journal journal;
-  journal.set_writer(&writer);
+  journal.set_pipeline(&pipeline);
   for (AtomicObject* obj : manager.objects()) {
     obj->recovery().set_journal(&journal);
   }

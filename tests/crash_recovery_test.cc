@@ -12,6 +12,7 @@
 #include "common/random.h"
 #include "sim/crash_harness.h"
 #include "txn/du_recovery.h"
+#include "txn/group_commit.h"
 #include "txn/journal_format.h"
 #include "txn/journal_io.h"
 #include "txn/txn_manager.h"
@@ -53,8 +54,9 @@ ScriptedRun RunScript(Method method) {
   auto ba = MakeBankAccount();
   MemorySink sink;
   JournalWriter writer(&sink);
+  GroupCommitPipeline pipeline(&writer, {.mode = DurabilityMode::kSync});
   Journal journal;
-  journal.set_writer(&writer);
+  journal.set_pipeline(&pipeline);
   TxnManager manager;
   AtomicObject* obj = manager.AddObject("BA", ba, MakeConflict(method, ba),
                                         MakeRecovery(method, ba));
@@ -215,8 +217,9 @@ TEST_P(CrashRecoveryTest, MultiObjectScriptedRestart) {
   make_system(&manager);
   MemorySink sink;
   JournalWriter writer(&sink);
+  GroupCommitPipeline pipeline(&writer, {.mode = DurabilityMode::kSync});
   Journal journal;
-  journal.set_writer(&writer);
+  journal.set_pipeline(&pipeline);
   for (AtomicObject* obj : manager.objects()) {
     obj->recovery().set_journal(&journal);
   }
@@ -286,10 +289,10 @@ TEST_P(CrashRecoveryTest, RestartRefusesLiveTransactions) {
   manager.AddObject("BA", ba, MakeConflict(GetParam(), ba),
                     MakeRecovery(GetParam(), ba));
   auto live = manager.Begin();
-  Journal empty;
-  EXPECT_EQ(manager.Restart(empty).code(), StatusCode::kIllegalState);
+  EXPECT_EQ(manager.RestartFromImage("", nullptr).code(),
+            StatusCode::kIllegalState);
   ASSERT_TRUE(manager.Abort(live.get()).ok());
-  EXPECT_TRUE(manager.Restart(empty).ok());
+  EXPECT_TRUE(manager.RestartFromImage("", nullptr).ok());
 }
 
 // The randomized property: for BOTH methods, a multithreaded run crashed

@@ -31,6 +31,7 @@
 #include "core/operation.h"
 #include "sim/crash_harness.h"
 #include "txn/checkpoint.h"
+#include "txn/group_commit.h"
 #include "txn/journal.h"
 #include "txn/journal_format.h"
 #include "txn/journal_io.h"
@@ -352,8 +353,9 @@ TEST(LifecycleRaceTest, LazyCreatesDuringRacingCheckpointRestartExactly) {
       SegmentedFileSink::Open(dir.path(), 1);
   ASSERT_TRUE(sink.ok());
   JournalWriter writer(sink->get());
+  GroupCommitPipeline pipeline(&writer, {.mode = DurabilityMode::kSync});
   Journal journal;
-  journal.set_writer(&writer);
+  journal.set_pipeline(&pipeline);
 
   TxnManagerOptions options;
   options.record_history = false;
@@ -400,7 +402,7 @@ TEST(LifecycleRaceTest, LazyCreatesDuringRacingCheckpointRestartExactly) {
 // Restart re-creates dynamic objects
 // ---------------------------------------------------------------------------
 
-// Builds the lifecycle story both in-memory restart tests share:
+// Builds the lifecycle story the image restart test replays:
 //   create D1, inc D1 +5, create D2, inc D2 +7,
 //   drop D2, create D2 (fresh incarnation), inc D2 +3,
 //   create D3, inc D3 +9, drop D3 (stays dropped).
@@ -428,26 +430,12 @@ void ExpectStoryState(TxnManager* manager) {
   EXPECT_EQ(manager->objects().size(), 2u);
 }
 
-TEST(DynamicRestartTest, RestartRecreatesDropsAndResetsIncarnations) {
-  Journal journal;
-  {
-    TxnManager manager;
-    RegisterCounterFactory(&manager);
-    manager.set_lifecycle_journal(&journal);
-    RunLifecycleStory(&manager);
-  }
-
-  TxnManager restarted;
-  RegisterCounterFactory(&restarted);
-  ASSERT_TRUE(restarted.Restart(journal).ok());
-  ExpectStoryState(&restarted);
-}
-
 TEST(DynamicRestartTest, RestartFromImageRecreatesDynamicObjects) {
   MemorySink sink;
   JournalWriter writer(&sink);
+  GroupCommitPipeline pipeline(&writer, {.mode = DurabilityMode::kSync});
   Journal journal;
-  journal.set_writer(&writer);
+  journal.set_pipeline(&pipeline);
   {
     TxnManager manager;
     RegisterCounterFactory(&manager);
@@ -471,8 +459,9 @@ TEST(DynamicRestartTest, RestartFromDirReplaysLifecycleAcrossCheckpoint) {
         SegmentedFileSink::Open(dir.path(), 1);
     ASSERT_TRUE(sink.ok());
     JournalWriter writer(sink->get());
+    GroupCommitPipeline pipeline(&writer, {.mode = DurabilityMode::kSync});
     Journal journal;
-    journal.set_writer(&writer);
+    journal.set_pipeline(&pipeline);
 
     TxnManager manager;
     RegisterCounterFactory(&manager);
@@ -522,14 +511,140 @@ TEST(DynamicRestartTest, RestartFromDirReplaysLifecycleAcrossCheckpoint) {
   EXPECT_EQ(restarted.object("D"), nullptr);
 }
 
+// Writes every frame to both sinks: one durable run yields the crash image
+// RestartFromImage reads and the segmented directory RestartFromDir reads.
+class TeeSink : public ByteSink {
+ public:
+  TeeSink(ByteSink* a, ByteSink* b) : a_(a), b_(b) {}
+  Status Append(std::string_view bytes) override {
+    CCR_RETURN_IF_ERROR(a_->Append(bytes));
+    return b_->Append(bytes);
+  }
+  Status Sync() override {
+    CCR_RETURN_IF_ERROR(a_->Sync());
+    return b_->Sync();
+  }
+
+ private:
+  ByteSink* const a_;
+  ByteSink* const b_;
+};
+
+// Commits one multi-object batch: one commit record naming every op's
+// object, creating absent ones through the counter factory.
+Status CommitBatch(TxnManager* manager,
+                   const std::vector<std::pair<ObjectId, int64_t>>& incs) {
+  std::vector<BatchOp> ops;
+  for (const auto& [id, amount] : incs) {
+    ops.push_back(BatchOp{id, kCounterFactory, IncInv(id, amount)});
+  }
+  return manager->RunTransaction([&](Transaction* txn) {
+    return manager->ExecuteBatch(txn, ops).status();
+  });
+}
+
+// Differential restart: one durable lifecycle workload, restarted through
+// RestartFromImage and through RestartFromDir on one and on three replay
+// threads, with and without a checkpoint, must recover the same world —
+// the original's live-object set, committed states, per-object LSNs, and
+// transaction watermark.
+TEST(DynamicRestartTest, ImageAndDirRestartsRecoverTheSameWorld) {
+  for (const bool checkpoint : {false, true}) {
+    SCOPED_TRACE(checkpoint ? "with checkpoint" : "without checkpoint");
+    TempDir dir;
+    SegmentedSinkOptions sink_options;
+    sink_options.max_segment_bytes = 160;
+    StatusOr<std::unique_ptr<SegmentedFileSink>> segments =
+        SegmentedFileSink::Open(dir.path(), 1, sink_options);
+    ASSERT_TRUE(segments.ok());
+    MemorySink memory;
+    TeeSink tee(&memory, segments->get());
+    JournalWriter writer(&tee);
+    GroupCommitPipeline pipeline(&writer, {.mode = DurabilityMode::kSync});
+    Journal journal;
+    journal.set_pipeline(&pipeline);
+
+    TxnManager manager;
+    RegisterCounterFactory(&manager);
+    manager.set_lifecycle_journal(&journal);
+    ASSERT_TRUE(manager.GetOrCreate("A", kCounterFactory).ok());
+    ASSERT_TRUE(CommitInc(&manager, "A", 5).ok());
+    ASSERT_TRUE(CommitBatch(&manager, {{"A", 1}, {"B", 3}}).ok());
+    ASSERT_TRUE(manager.GetOrCreate("C", kCounterFactory).ok());
+    ASSERT_TRUE(CommitInc(&manager, "C", 4).ok());
+    ASSERT_TRUE(manager.DropObject("C").ok());
+    ASSERT_TRUE(CommitBatch(&manager, {{"D", 1}, {"B", 2}}).ok());
+    ASSERT_TRUE(manager.GetOrCreate("G", kCounterFactory).ok());
+    ASSERT_TRUE(CommitInc(&manager, "G", 8).ok());
+    // A fuzzy checkpoint: the anchor is captured before these records, the
+    // object walk after them — so A's and F's images overshoot the anchor
+    // (and cover F's create), and G, dropped before the walk, leaves
+    // orphaned ops in the tail that its drop record resolves.
+    const Lsn fuzzy_anchor = journal.high_lsn();
+    ASSERT_TRUE(CommitBatch(&manager, {{"A", 3}, {"F", 2}}).ok());
+    ASSERT_TRUE(CommitInc(&manager, "G", 5).ok());
+    ASSERT_TRUE(manager.DropObject("G").ok());
+    Lsn anchor = 0;
+    if (checkpoint) {
+      anchor = fuzzy_anchor;
+      ASSERT_TRUE(Checkpointer(dir.path()).Write(&manager, anchor).ok());
+      ASSERT_TRUE((*segments)->TruncateBelow(anchor).ok());
+    }
+    // The tail: re-create a dropped id on each side of the checkpoint,
+    // batch across a re-created object, and leave one object dropped.
+    ASSERT_TRUE(manager.DropObject("B").ok());
+    ASSERT_TRUE(CommitBatch(&manager, {{"B", 9}, {"A", 2}, {"D", 7}}).ok());
+    ASSERT_TRUE(CommitBatch(&manager, {{"C", 6}, {"E", 1}}).ok());
+    ASSERT_TRUE(manager.DropObject("D").ok());
+    ASSERT_TRUE(CommitBatch(&manager, {{"E", 2}, {"A", 1}}).ok());
+    ASSERT_TRUE(CommitInc(&manager, "C", 1).ok());
+
+    const auto expect_same_world = [&](TxnManager* restarted,
+                                       const std::string& path) {
+      std::vector<ObjectId> want;
+      std::vector<ObjectId> got;
+      for (AtomicObject* obj : manager.objects()) want.push_back(obj->id());
+      for (AtomicObject* obj : restarted->objects()) got.push_back(obj->id());
+      ASSERT_EQ(got, want) << path;
+      for (AtomicObject* obj : manager.objects()) {
+        AtomicObject* other = restarted->object(obj->id());
+        EXPECT_TRUE(other->CommittedState()->Equals(*obj->CommittedState()))
+            << path << ": " << obj->id();
+        EXPECT_EQ(other->last_committed_lsn(), obj->last_committed_lsn())
+            << path << ": " << obj->id();
+      }
+      EXPECT_EQ(restarted->max_assigned_txn(), manager.max_assigned_txn())
+          << path;
+    };
+    {
+      TxnManager restarted;
+      RegisterCounterFactory(&restarted);
+      RecoveryReport report;
+      ASSERT_TRUE(restarted.RestartFromImage(memory.image(), &report).ok());
+      EXPECT_EQ(report.records_replayed, journal.size());
+      expect_same_world(&restarted, "image");
+    }
+    for (const int threads : {1, 3}) {
+      TxnManager restarted;
+      RegisterCounterFactory(&restarted);
+      const StatusOr<RestartSummary> summary =
+          restarted.RestartFromDir(dir.path(), RestartOptions{threads});
+      ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+      EXPECT_EQ(summary->checkpoint_anchor, anchor);
+      EXPECT_EQ(summary->high_lsn, journal.high_lsn());
+      expect_same_world(&restarted, "dir, " + std::to_string(threads) +
+                                        " replay threads");
+    }
+  }
+}
+
 TEST(DynamicRestartTest, RestartFailsAtomicallyOnUnregisteredFactory) {
-  std::vector<Journal::Entry> entries;
-  entries.push_back(Journal::Entry::Lifecycle(
+  const std::string image = EncodeEntryRecord(Journal::Entry::Lifecycle(
       LifecycleRecord{LifecycleRecord::Kind::kCreate, "X", "nope"}));
-  const Journal journal(std::move(entries));
 
   TxnManager restarted;  // no factory registered
-  EXPECT_EQ(restarted.Restart(journal).code(), StatusCode::kInternal);
+  EXPECT_EQ(restarted.RestartFromImage(image, nullptr).code(),
+            StatusCode::kInternal);
   // Fail-atomic: the half-replayed create was never published.
   EXPECT_EQ(restarted.object("X"), nullptr);
   EXPECT_TRUE(restarted.objects().empty());

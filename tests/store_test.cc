@@ -31,6 +31,8 @@
 #include "store/object_store.h"
 #include "txn/checkpoint.h"
 #include "txn/du_recovery.h"
+#include "txn/group_commit.h"
+#include "txn/journal_format.h"
 #include "txn/journal_io.h"
 #include "txn/txn_manager.h"
 #include "txn/uip_recovery.h"
@@ -420,7 +422,7 @@ Invocation ReadInv(const ObjectId& id) {
 
 // A manager journaling to an in-memory Journal, with a MemObjectStore
 // attached: the smallest world where eviction, fault-in, store
-// checkpoints, and Restart(journal) all compose.
+// checkpoints, and restart all compose.
 struct StoreWorld {
   TempDir dir;  // checkpointer home (unused unless also_write_file)
   MemObjectStore store;
@@ -454,6 +456,16 @@ struct StoreWorld {
     return out;
   }
 };
+
+// The crash image of a volatile journal: its entries framed exactly as a
+// durable writer would have written them.
+std::string ImageOf(const Journal& journal) {
+  std::string image;
+  journal.ForEachEntry([&](Lsn, const Journal::Entry& entry) {
+    image += EncodeEntryRecord(entry);
+  });
+  return image;
+}
 
 TEST(EvictionTest, EvictThenExecuteFaultsBackIn) {
   StoreWorld world;
@@ -594,7 +606,7 @@ TEST(EvictionTest, FuzzyCheckpointSkipsEvictedObjectsButRestartSeesThem) {
   TxnManager restarted;
   RegisterCounterFactory(&restarted);
   restarted.set_object_store(&world.store);
-  ASSERT_TRUE(restarted.Restart(world.journal).ok());
+  ASSERT_TRUE(restarted.RestartFromImage(ImageOf(world.journal), nullptr).ok());
   ASSERT_NE(restarted.object("D1"), nullptr);
   ASSERT_NE(restarted.object("D2"), nullptr);
   EXPECT_TRUE(restarted.object("D1")->CommittedState()->Equals(
@@ -618,7 +630,7 @@ TEST(EvictionTest, RestartReconcilesDroppedKeyAfterLostDelete) {
   TxnManager restarted;
   RegisterCounterFactory(&restarted);
   restarted.set_object_store(&world.store);
-  ASSERT_TRUE(restarted.Restart(world.journal).ok());
+  ASSERT_TRUE(restarted.RestartFromImage(ImageOf(world.journal), nullptr).ok());
   EXPECT_EQ(restarted.object("D1"), nullptr);
   EXPECT_EQ(world.store.Get(StoreObjectKey("D1")).status().code(),
             StatusCode::kNotFound)
@@ -638,6 +650,7 @@ struct DurableWorld {
   Journal journal;
   std::unique_ptr<SegmentedFileSink> sink;
   std::unique_ptr<JournalWriter> writer;
+  std::unique_ptr<GroupCommitPipeline> pipeline;
 
   DurableWorld() {
     RegisterCounterFactory(&manager);
@@ -653,7 +666,9 @@ struct DurableWorld {
     CCR_CHECK(opened.ok());
     sink = std::move(*opened);
     writer = std::make_unique<JournalWriter>(sink.get());
-    journal.set_writer(writer.get());
+    pipeline = std::make_unique<GroupCommitPipeline>(
+        writer.get(), GroupCommitOptions{.mode = DurabilityMode::kSync});
+    journal.set_pipeline(pipeline.get());
     manager.set_lifecycle_journal(&journal);
   }
 
@@ -816,13 +831,16 @@ void StoreSweepUipFactory(TxnManager* manager) {
                      std::make_unique<UipRecovery>(set));
 }
 
+// DU needs (at least) NFC — Theorem 10. Under NRBC two concurrent
+// withdraws can each pass against the base and jointly overdraw it at
+// commit.
 void StoreSweepDuFactory(TxnManager* manager) {
   RegisterCounterFactory(manager);
   auto ba = MakeBankAccount();
   auto set = MakeIntSet();
-  manager->AddObject("BA", ba, MakeNrbcConflict(ba),
+  manager->AddObject("BA", ba, MakeNfcConflict(ba),
                      std::make_unique<DuRecovery>(ba));
-  manager->AddObject("SET", set, MakeNrbcConflict(set),
+  manager->AddObject("SET", set, MakeNfcConflict(set),
                      std::make_unique<DuRecovery>(set));
 }
 
