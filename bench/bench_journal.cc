@@ -56,6 +56,7 @@
 #include "common/temp_path.h"
 #include "sim/crash_harness.h"
 #include "sim/driver.h"
+#include "store/log_store.h"
 #include "txn/checkpoint.h"
 #include "txn/du_recovery.h"
 #include "txn/group_commit.h"
@@ -71,6 +72,44 @@ double Seconds(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+// Repeated-trial timing: the replay and restart rows each report the
+// median and quartiles of kTrials runs, so a row can resolve a change
+// larger than its own spread.
+constexpr int kTrials = 11;
+
+struct Spread {
+  double q1 = 0;
+  double median = 0;
+  double q3 = 0;
+};
+
+// Nearest-rank quartiles of `samples` (non-empty).
+Spread SpreadOf(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const auto rank = [&](double p) {
+    const size_t i = static_cast<size_t>(
+        p * static_cast<double>(samples.size()) + 0.999999);
+    return samples[std::min(samples.size(), std::max<size_t>(i, 1)) - 1];
+  };
+  return Spread{rank(0.25), rank(0.5), rank(0.75)};
+}
+
+// "median [q1, q3]" of `samples` converted to a rate: `count` per sample
+// second. The quartiles swap ends because the rate falls as time grows.
+std::string RateCell(const std::vector<double>& seconds, double count) {
+  const Spread t = SpreadOf(seconds);
+  const auto rate = [count](double sec) { return sec > 0 ? count / sec : 0; };
+  return StrFormat("%.0f [%.0f, %.0f]", rate(t.median), rate(t.q3),
+                   rate(t.q1));
+}
+
+// "median [q1, q3]" of `seconds` in milliseconds.
+std::string MillisCell(const std::vector<double>& seconds) {
+  const Spread t = SpreadOf(seconds);
+  return StrFormat("%.2f [%.2f, %.2f]", t.median * 1e3, t.q1 * 1e3,
+                   t.q3 * 1e3);
 }
 
 std::vector<Journal::CommitRecord> MakeRecords(size_t n) {
@@ -171,23 +210,25 @@ void BenchAppend() {
 void BenchReplay() {
   std::printf(
       "scenario: replay — crash-recovery scan rate vs journal length,\n"
-      "and full engine restart (scan + redo through the recovery manager)\n");
+      "and full engine restart (scan + redo through the recovery manager);\n"
+      "each cell is the median [q1, q3] of %d trials\n",
+      kTrials);
   TablePrinter table({"records", "bytes", "scan records/s", "scan MB/s"});
   for (size_t n : {size_t{1000}, size_t{10000}, size_t{50000}}) {
     const auto records = MakeRecords(n);
     std::string image;
     for (const auto& record : records) image += EncodeCommitRecord(record);
-    const auto start = std::chrono::steady_clock::now();
-    RecoveryReport report;
-    auto scanned = ScanJournalImage(image, &report);
-    const double seconds = Seconds(start);
-    CCR_CHECK(scanned.ok() && report.records_replayed == n);
-    table.AddRow(
-        {StrFormat("%zu", n), StrFormat("%zu", image.size()),
-         StrFormat("%.0f", seconds > 0 ? static_cast<double>(n) / seconds : 0),
-         StrFormat("%.1f", seconds > 0
-                               ? static_cast<double>(image.size()) / seconds / 1e6
-                               : 0)});
+    std::vector<double> seconds;
+    for (int trial = 0; trial < kTrials; ++trial) {
+      const auto start = std::chrono::steady_clock::now();
+      RecoveryReport report;
+      auto scanned = ScanJournalImage(image, &report);
+      seconds.push_back(Seconds(start));
+      CCR_CHECK(scanned.ok() && report.records_replayed == n);
+    }
+    table.AddRow({StrFormat("%zu", n), StrFormat("%zu", image.size()),
+                  RateCell(seconds, static_cast<double>(n)),
+                  RateCell(seconds, static_cast<double>(image.size()) / 1e6)});
   }
   std::printf("%s\n", table.ToString().c_str());
 
@@ -197,24 +238,26 @@ void BenchReplay() {
   std::string image;
   for (const auto& record : records) image += EncodeCommitRecord(record);
   for (int method = 0; method < 2; ++method) {
-    auto ba = MakeBankAccount();
-    TxnManager manager;
-    std::unique_ptr<RecoveryManager> recovery;
-    if (method == 0) {
-      recovery = std::make_unique<UipRecovery>(ba);
-    } else {
-      recovery = std::make_unique<DuRecovery>(ba);
+    std::vector<double> seconds;
+    for (int trial = 0; trial < kTrials; ++trial) {
+      auto ba = MakeBankAccount();
+      TxnManager manager;
+      std::unique_ptr<RecoveryManager> recovery;
+      if (method == 0) {
+        recovery = std::make_unique<UipRecovery>(ba);
+      } else {
+        recovery = std::make_unique<DuRecovery>(ba);
+      }
+      manager.AddObject(
+          "BA", ba, method == 0 ? MakeNrbcConflict(ba) : MakeNfcConflict(ba),
+          std::move(recovery));
+      const auto start = std::chrono::steady_clock::now();
+      RecoveryReport report;
+      CCR_CHECK(manager.RestartFromImage(image, &report).ok());
+      seconds.push_back(Seconds(start));
     }
-    manager.AddObject("BA", ba,
-                      method == 0 ? MakeNrbcConflict(ba) : MakeNfcConflict(ba),
-                      std::move(recovery));
-    const auto start = std::chrono::steady_clock::now();
-    RecoveryReport report;
-    CCR_CHECK(manager.RestartFromImage(image, &report).ok());
-    const double seconds = Seconds(start);
-    engine.AddRow(
-        {method == 0 ? "UIP" : "DU", StrFormat("%zu", n),
-         StrFormat("%.0f", seconds > 0 ? static_cast<double>(n) / seconds : 0)});
+    engine.AddRow({method == 0 ? "UIP" : "DU", StrFormat("%zu", n),
+                   RateCell(seconds, static_cast<double>(n))});
   }
   std::printf("%s\n", engine.ToString().c_str());
 }
@@ -498,9 +541,10 @@ void MirrorRecord(TxnManager* replica, const Journal::CommitRecord& record,
 }
 
 // Writes `records` into a fresh segmented journal under `dir`; when
-// checkpoint_at > 0, a fuzzy checkpoint is taken at that LSN and every
-// segment it covers is truncated — the directory then holds checkpoint +
-// tail, which is what a long-running system's disk looks like.
+// checkpoint_at > 0, a fuzzy checkpoint is taken at that LSN into a
+// LogStructuredStore sharing the directory, and every segment it covers is
+// truncated — the directory then holds checkpoint + tail, which is what a
+// long-running system's disk looks like.
 void BuildRestartDir(const std::string& dir,
                      const std::vector<Journal::CommitRecord>& records,
                      size_t checkpoint_at,
@@ -509,8 +553,11 @@ void BuildRestartDir(const std::string& dir,
   options.max_segment_bytes = 1 << 16;
   auto sink = SegmentedFileSink::Open(dir, 1, options);
   CCR_CHECK(sink.ok());
+  auto store = LogStructuredStore::Open(dir);
+  CCR_CHECK(store.ok());
   TxnManager replica;
   factory(&replica);
+  replica.set_object_store(store->get());
   for (size_t i = 0; i < records.size(); ++i) {
     const Lsn lsn = static_cast<Lsn>(i) + 1;
     CCR_CHECK((*sink)->Append(EncodeCommitRecord(records[i])).ok());
@@ -518,7 +565,9 @@ void BuildRestartDir(const std::string& dir,
     if ((i + 1) % 512 == 0) CCR_CHECK((*sink)->Sync().ok());
     if (checkpoint_at > 0 && i + 1 == checkpoint_at) {
       CCR_CHECK((*sink)->Sync().ok());
-      Checkpointer checkpointer(dir);
+      CheckpointerOptions ckpt_options;
+      ckpt_options.store = store->get();
+      Checkpointer checkpointer(dir, ckpt_options);
       auto written = checkpointer.Write(&replica, lsn);
       CCR_CHECK(written.ok());
       CCR_CHECK((*sink)->TruncateBelow(*written).ok());
@@ -527,30 +576,32 @@ void BuildRestartDir(const std::string& dir,
   CCR_CHECK((*sink)->Sync().ok());
 }
 
-// Restarts a fresh system from `dir`, audits the recovered balances
-// against the ground-truth records, and returns elapsed seconds.
-double TimedRestart(const std::string& dir, int threads, size_t high_lsn,
-                    const std::function<void(TxnManager*)>& factory,
-                    const std::function<void(TxnManager&)>& audit,
-                    RestartSummary* summary) {
-  // Best of three: the first restart after building the directory pays
-  // cold page-cache costs that have nothing to do with replay.
-  double best = 0;
-  for (int run = 0; run < 3; ++run) {
+// Restarts a fresh system from `dir` kTrials times — each opening the
+// directory's store and restarting from it inside the timed span — audits
+// every recovered world against the ground-truth records, and returns the
+// elapsed seconds of each trial. A warm-up restart first pays the cold
+// page-cache costs that have nothing to do with replay.
+std::vector<double> TimedRestart(
+    const std::string& dir, int threads, size_t high_lsn,
+    const std::function<void(TxnManager*)>& factory,
+    const std::function<void(TxnManager&)>& audit, RestartSummary* summary) {
+  std::vector<double> seconds;
+  for (int trial = -1; trial < kTrials; ++trial) {
     TxnManager restarted;
     factory(&restarted);
     const auto start = std::chrono::steady_clock::now();
+    auto store = LogStructuredStore::Open(dir);
+    CCR_CHECK(store.ok());
+    restarted.set_object_store(store->get());
     auto result = restarted.RestartFromDir(dir, RestartOptions{threads});
-    const double seconds = Seconds(start);
+    const double elapsed = Seconds(start);
     CCR_CHECK(result.ok());
     CCR_CHECK(result->high_lsn == high_lsn);
     audit(restarted);
-    if (run == 0 || seconds < best) {
-      best = seconds;
-      *summary = *result;
-    }
+    *summary = *result;
+    if (trial >= 0) seconds.push_back(elapsed);
   }
-  return best;
+  return seconds;
 }
 
 // Ground-truth audit for the bank-account workload: every balance equals
@@ -626,8 +677,10 @@ void BenchRestart(bool smoke) {
       "scenario: restart (PERF-RESTART) — checkpoint + tail replay vs full\n"
       "history; restart cost must track the tail, not total history\n"
       "(hardware threads: %u — the 4-thread rows can only beat 1-thread\n"
-      "when more than one core is available; on a single core they tie)\n",
-      std::thread::hardware_concurrency());
+      "when more than one core is available; on a single core they tie).\n"
+      "Each restart opens the checkpoint store; each cell is the\n"
+      "median [q1, q3] of %d trials\n",
+      std::thread::hardware_concurrency(), kTrials);
   const size_t base = smoke ? 500 : 20000;
   const size_t tail = smoke ? 100 : 2000;
   TablePrinter table({"history", "checkpoint", "tail records", "threads",
@@ -641,16 +694,13 @@ void BenchRestart(bool smoke) {
       BuildRestartDir(dir, records, n - tail, RestartFactory);
       for (const int threads : {1, 4}) {
         RestartSummary summary;
-        const double seconds = TimedRestart(dir, threads, records.size(),
-                                            RestartFactory, audit, &summary);
+        const std::vector<double> seconds = TimedRestart(
+            dir, threads, records.size(), RestartFactory, audit, &summary);
         CCR_CHECK(summary.checkpoint_anchor == n - tail);
         table.AddRow(
             {StrFormat("%zu", n), "yes", StrFormat("%zu", summary.tail_records),
-             StrFormat("%d", threads), StrFormat("%.2f", seconds * 1e3),
-             StrFormat("%.0f",
-                       seconds > 0
-                           ? static_cast<double>(summary.tail_records) / seconds
-                           : 0)});
+             StrFormat("%d", threads), MillisCell(seconds),
+             RateCell(seconds, static_cast<double>(summary.tail_records))});
       }
       RemoveRestartTempDir(dir);
     }
@@ -658,17 +708,15 @@ void BenchRestart(bool smoke) {
       const std::string dir = MakeRestartTempDir();
       BuildRestartDir(dir, records, 0, RestartFactory);
       RestartSummary summary;
-      const double seconds = TimedRestart(dir, 1, records.size(),
-                                          RestartFactory, audit, &summary);
+      const std::vector<double> seconds = TimedRestart(
+          dir, 1, records.size(), RestartFactory, audit, &summary);
       CCR_CHECK(summary.checkpoint_anchor == 0);
       table.AddRow({StrFormat("%zu", n), "no",
                     StrFormat("%zu", summary.tail_records), "1",
-                    StrFormat("%.2f", seconds * 1e3),
-                    StrFormat("%.0f",
-                              seconds > 0
-                                  ? static_cast<double>(summary.tail_records) /
-                                        seconds
-                                  : 0)});
+                    MillisCell(seconds),
+                    RateCell(seconds,
+                             static_cast<double>(summary.tail_records))});
+      RemoveRestartTempDir(dir);
     }
   }
   // Wide tail over IntSet objects: replay cost per record grows with set
@@ -682,17 +730,13 @@ void BenchRestart(bool smoke) {
     BuildRestartDir(dir, records, n / 2, RestartSetFactory);
     for (const int threads : {1, 4}) {
       RestartSummary summary;
-      const double seconds = TimedRestart(dir, threads, records.size(),
-                                          RestartSetFactory, audit, &summary);
+      const std::vector<double> seconds = TimedRestart(
+          dir, threads, records.size(), RestartSetFactory, audit, &summary);
       table.AddRow({StrFormat("%zu (set)", n), "yes",
                     StrFormat("%zu", summary.tail_records),
-                    StrFormat("%d", threads),
-                    StrFormat("%.2f", seconds * 1e3),
-                    StrFormat("%.0f",
-                              seconds > 0
-                                  ? static_cast<double>(summary.tail_records) /
-                                        seconds
-                                  : 0)});
+                    StrFormat("%d", threads), MillisCell(seconds),
+                    RateCell(seconds,
+                             static_cast<double>(summary.tail_records))});
     }
     RemoveRestartTempDir(dir);
   }

@@ -14,12 +14,10 @@
 //     in).
 //
 //  2. restart comparison — one durable directory (segmented journal +
-//     store images + a monolithic checkpoint file) restarted three ways:
-//     store images + tail (from_store), the checkpoint.<anchor> file +
-//     tail (no store attached), and lazy store install (only tail-named
-//     objects materialize; the rest stay deferred until first touch).
-//     Restart-from-store and restart-from-file replay the same tail; the
-//     lazy arm's cost is O(tail), not O(population).
+//     store checkpoint) restarted two ways: every store image installed
+//     eagerly + tail, and lazy store install (only tail-named objects
+//     materialize; the rest stay deferred until first touch). Both replay
+//     the same tail; the lazy arm's cost is O(tail), not O(population).
 //
 //  3. crash sweep — every store.* crash point x UIP/DU through
 //     RunStoreCrashScenario (journal + store + fuzzy checkpoints +
@@ -215,8 +213,7 @@ void BenchEvictionSweep(bool smoke) {
 
 // Builds one durable directory: `population` counters created and
 // incremented through a segmented journal sharing the directory with the
-// store, checkpointed into the store AND the monolithic file (so every
-// restart arm reads the same disk), journal truncated to the anchor, then
+// store, checkpointed into the store, journal truncated to the anchor, then
 // a short tail touching only the first `tail_touch` objects.
 void BuildRestartWorld(const std::string& dir, size_t population,
                        size_t tail_touch, Lsn* anchor, Lsn* high_lsn) {
@@ -252,7 +249,6 @@ void BuildRestartWorld(const std::string& dir, size_t population,
 
   CheckpointerOptions ckpt_options;
   ckpt_options.store = store->get();
-  ckpt_options.also_write_file = true;
   Checkpointer checkpointer(dir, ckpt_options);
   *anchor = journal.high_lsn();
   StatusOr<Lsn> written = checkpointer.Write(&manager, *anchor);
@@ -268,8 +264,8 @@ void BenchRestartComparison(bool smoke) {
   const size_t tail_touch = 16;
   std::printf(
       "restart comparison: %zu store-resident counters, %zu-object journal\n"
-      "tail; same directory restarted from store images, from the\n"
-      "checkpoint file, and with lazy store install\n",
+      "tail; same directory restarted with every store image installed\n"
+      "and with lazy store install\n",
       population, tail_touch);
 
   const std::string dir = MakeStoreTempDir();
@@ -278,31 +274,24 @@ void BenchRestartComparison(bool smoke) {
   BuildRestartWorld(dir, population, tail_touch, &anchor, &high_lsn);
 
   TablePrinter table({"arm", "restart ms", "installed", "deferred",
-                      "tail records", "from store"});
+                      "tail records"});
   struct Arm {
     const char* name;
-    bool attach_store;
     bool lazy;
   };
-  for (const Arm arm : {Arm{"store images", true, false},
-                        Arm{"checkpoint file", false, false},
-                        Arm{"lazy install", true, true}}) {
+  for (const Arm arm : {Arm{"store images", false}, Arm{"lazy install", true}}) {
     // Best of three: the first run pays cold page-cache costs.
     double best = 0;
     RestartSummary summary;
     for (int run = 0; run < 3; ++run) {
-      std::unique_ptr<LogStructuredStore> store;
       TxnManager restarted;
       bench::RegisterCounterFactory(&restarted,
                                     bench::EngineConfig::kUipNrbc);
       const auto start = std::chrono::steady_clock::now();
-      if (arm.attach_store) {
-        StatusOr<std::unique_ptr<LogStructuredStore>> opened =
-            LogStructuredStore::Open(dir);
-        CCR_CHECK(opened.ok());
-        store = std::move(*opened);
-        restarted.set_object_store(store.get());
-      }
+      StatusOr<std::unique_ptr<LogStructuredStore>> store =
+          LogStructuredStore::Open(dir);
+      CCR_CHECK(store.ok());
+      restarted.set_object_store(store->get());
       RestartOptions options;
       options.lazy_store_install = arm.lazy;
       StatusOr<RestartSummary> result =
@@ -312,7 +301,6 @@ void BenchRestartComparison(bool smoke) {
                     result.status().ToString().c_str());
       CCR_CHECK(result->checkpoint_anchor == anchor);
       CCR_CHECK(result->high_lsn == high_lsn);
-      CCR_CHECK(result->from_store == arm.attach_store);
       if (run == 0 || secs < best) {
         best = secs;
         summary = *result;
@@ -336,8 +324,7 @@ void BenchRestartComparison(bool smoke) {
     table.AddRow({arm.name, StrFormat("%.2f", best * 1e3),
                   StrFormat("%zu", summary.checkpoint_objects),
                   StrFormat("%zu", summary.store_deferred),
-                  StrFormat("%zu", summary.tail_records),
-                  summary.from_store ? "yes" : "no"});
+                  StrFormat("%zu", summary.tail_records)});
     if (arm.lazy) {
       CCR_CHECK_MSG(summary.store_deferred == population - tail_touch,
                     "lazy restart deferred %zu of %zu",
@@ -433,8 +420,8 @@ void BenchStoreCrashSweep(bool smoke) {
                         "clean run wrote no checkpoint");
           CCR_CHECK_MSG(result.store_compactions > 0,
                         "clean run compacted nothing");
-          CCR_CHECK_MSG(result.summary.from_store,
-                        "clean restart ignored the store");
+          CCR_CHECK_MSG(result.summary.checkpoint_anchor > 0,
+                        "clean restart ignored the store checkpoint");
         } else {
           CCR_CHECK_MSG(result.crash_fired, "point %s never fired",
                         point.c_str());

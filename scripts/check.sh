@@ -6,6 +6,9 @@
 #   scripts/check.sh --fast        # tier-1 only (skip sanitizer builds)
 #   scripts/check.sh --san asan    # one sanitizer preset only: the crash
 #                                  # suite plus the smokes (asan or tsan)
+#   scripts/check.sh --mutants     # mutation check of the restart replay
+#                                  # rules (scripts/mutants.sh); not part
+#                                  # of the default run or --fast
 #
 # Uses the CMake presets in CMakePresets.json (default / asan / tsan).
 # The sanitizer list below is the only copy: CI runs it per preset.
@@ -49,6 +52,7 @@ case "${1:-}" in
     echo "==> all ${2} checks passed"
     exit 0
     ;;
+  --mutants) exec scripts/mutants.sh ;;
 esac
 
 echo "==> tier-1: configure + build + full ctest (preset: default)"

@@ -381,10 +381,10 @@ ServeCrashResult RunServeCrashScenario(const SystemFactory& factory,
   return result;
 }
 
-CheckpointCrashResult RunCheckpointCrashScenario(
-    const SystemFactory& factory, const TxnBody& body,
-    const CheckpointCrashOptions& options) {
-  CheckpointCrashResult result;
+StoreCrashResult RunStoreCrashScenario(const SystemFactory& factory,
+                                       const TxnBody& body,
+                                       const StoreCrashOptions& options) {
+  StoreCrashResult result;
 
   // Phase 1 — ground truth. The workload runs against a volatile journal;
   // its in-memory record sequence is the commit order the durable replay
@@ -404,124 +404,10 @@ CheckpointCrashResult RunCheckpointCrashScenario(
   const std::vector<Journal::Entry> entries = journal.Entries();
   result.records_total = entries.size();
 
-  // Phase 2 — the durable run. Replay the sequence through a segmented
-  // sink with the crash point armed, mirror-applying every record that
-  // reached the disk into a replica manager; maintenance passes checkpoint
-  // the replica and truncate dead segments. Once the armed point fires,
-  // everything else fails fast — the tail after it is lost.
-  ScopedTempDir dir;
-  if (dir.path().empty()) {
-    result.status = Status::Internal("cannot create scenario temp dir");
-    return result;
-  }
-  CrashPoints crash;
-  if (!options.crash_point.empty()) crash.Arm(options.crash_point);
-  SegmentedSinkOptions sink_options;
-  sink_options.max_segment_bytes = options.max_segment_bytes;
-  sink_options.crash = &crash;
-  StatusOr<std::unique_ptr<SegmentedFileSink>> sink =
-      SegmentedFileSink::Open(dir.path(), 1, sink_options);
-  if (!sink.ok()) {
-    result.status = sink.status();
-    return result;
-  }
-  TxnManager replica;
-  factory(&replica);
-  Checkpointer checkpointer(dir.path(), CheckpointerOptions{2, &crash});
-  const size_t every = options.checkpoint_every > 0
-                           ? options.checkpoint_every
-                           : std::max<size_t>(1, entries.size() / 3);
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const Lsn lsn = static_cast<Lsn>(i) + 1;
-    const Status append = (*sink)->Append(EncodeEntryRecord(entries[i]));
-    if (!append.ok()) {
-      if (!crash.dead()) result.status = append;  // real failure, not crash
-      break;
-    }
-    // Crash points sit at operation boundaries, so a successful Append put
-    // the whole record on the (simulated) disk.
-    ++result.records_appended;
-    const Status sync = (*sink)->Sync();
-    if (sync.ok()) ++result.acked_records;
-    const Status mirror = MirrorApply(&replica, entries[i], lsn);
-    if (!mirror.ok()) {
-      result.status = mirror;
-      break;
-    }
-    if (!sync.ok()) {
-      if (!crash.dead()) result.status = sync;
-      break;
-    }
-    if ((i + 1) % every == 0) {
-      // Maintenance pass. The anchor is captured before the checkpoint
-      // walk (here trivially: the replay is synchronous, so every record
-      // <= lsn is in the replica); truncation runs only after Write
-      // returned — i.e. only below a durable checkpoint.
-      const StatusOr<Lsn> written = checkpointer.Write(&replica, lsn);
-      if (written.ok()) {
-        ++result.checkpoints_written;
-        const size_t before = (*sink)->segment_count();
-        const Status trunc = (*sink)->TruncateBelow(*written);
-        if (trunc.ok()) {
-          if ((*sink)->segment_count() < before) ++result.truncations;
-        } else if (!crash.dead()) {
-          result.status = trunc;
-          break;
-        }
-      } else if (!crash.dead()) {
-        result.status = written.status();
-        break;
-      }
-      if (crash.dead()) break;
-    }
-  }
-  result.crash_fired = crash.fired();
-  if (!result.status.ok()) return result;
-
-  // Phase 3 — recovery and audit. A fresh system restarts from whatever
-  // the directory holds; it must land on exactly the appended prefix.
-  TxnManager restarted;
-  factory(&restarted);
-  StatusOr<RestartSummary> summary = restarted.RestartFromDir(
-      dir.path(), RestartOptions{options.replay_threads});
-  if (!summary.ok()) {
-    result.status = summary.status();
-    return result;
-  }
-  result.summary = *summary;
-  result.recovered_all_appended =
-      result.summary.high_lsn == static_cast<Lsn>(result.records_appended);
-
-  const std::vector<Journal::Entry> prefix(
-      entries.begin(),
-      entries.begin() + static_cast<ptrdiff_t>(result.records_appended));
-  result.state_matches_prefix = AuditStateAgainstPrefix(&restarted, prefix);
-  return result;
-}
-
-StoreCrashResult RunStoreCrashScenario(const SystemFactory& factory,
-                                       const TxnBody& body,
-                                       const StoreCrashOptions& options) {
-  StoreCrashResult result;
-
-  // Phase 1 — ground truth (same as the checkpoint scenario): the workload
-  // runs against a volatile journal to fix the commit-record sequence.
-  TxnManager workload_manager;
-  factory(&workload_manager);
-  Journal journal;
-  workload_manager.set_lifecycle_journal(&journal);
-  for (AtomicObject* obj : workload_manager.objects()) {
-    obj->recovery().set_journal(&journal);
-  }
-  RunWorkload(&workload_manager, body, options.driver);
-  const std::vector<Journal::Entry> entries = journal.Entries();
-  result.records_total = entries.size();
-
-  // Phase 2 — the durable run, now with the store in the loop. The journal
-  // sink, the checkpointer, and the log-structured store share one
-  // CrashPoints: wherever the armed point lives, once it fires every later
-  // append, checkpoint, store batch, and compaction fails — the machine is
-  // dead.
+  // Phase 2 — the durable run. The journal sink and the log-structured
+  // store share one CrashPoints: wherever the armed point lives, once it
+  // fires every later append, checkpoint, store batch, and compaction fails
+  // — the machine is dead.
   ScopedTempDir dir;
   if (dir.path().empty()) {
     result.status = Status::Internal("cannot create scenario temp dir");
@@ -554,9 +440,7 @@ StoreCrashResult RunStoreCrashScenario(const SystemFactory& factory,
   factory(&replica);
   replica.set_object_store(store->get());
   CheckpointerOptions ckpt_options;
-  ckpt_options.crash = &crash;
   ckpt_options.store = store->get();
-  ckpt_options.also_write_file = options.also_write_file;
   Checkpointer checkpointer(dir.path(), ckpt_options);
   const size_t every = options.checkpoint_every > 0
                            ? options.checkpoint_every
@@ -647,8 +531,7 @@ StoreCrashResult RunStoreCrashScenario(const SystemFactory& factory,
 
   // Phase 3 — recovery and audit. A fresh system with a freshly opened
   // store restarts from whatever the directory holds (store images + meta,
-  // checkpoint files if any, journal tail) and must land on exactly the
-  // appended prefix.
+  // journal tail) and must land on exactly the appended prefix.
   StatusOr<std::unique_ptr<LogStructuredStore>> reopened =
       LogStructuredStore::Open(dir.path(), LogStoreOptions{});
   if (!reopened.ok()) {

@@ -148,81 +148,34 @@ ServeCrashResult RunServeCrashScenario(const SystemFactory& factory,
                                        const ServeCrashOptions& options);
 
 // ---------------------------------------------------------------------------
-// Checkpoint/segment crash scenario: the maintenance-path counterpart of
-// RunCrashScenario. A workload first runs against a volatile journal to fix
-// the ground-truth commit-record sequence; the harness then replays that
-// sequence through a SegmentedFileSink (one append + sync per record — the
-// per-record ack point) into a temp directory, mirror-applying each
-// acknowledged record into a live replica manager so fuzzy checkpoints of
-// the replica carry exact per-object LSNs. Every `checkpoint_every`
-// records a maintenance pass runs: capture the anchor, write a checkpoint,
-// truncate dead segments. One named crash point (journal_io.h /
-// checkpoint.h) is armed; when it fires the simulated machine is dead —
-// every later append, checkpoint, and truncation fails, and the remaining
-// records are lost. Finally a freshly built system restarts from the
-// directory and is audited:
+// Maintenance-path crash scenario: the checkpoint/segment/store counterpart
+// of RunCrashScenario. A workload first runs against a volatile journal to
+// fix the ground-truth commit-record sequence; the harness then replays
+// that sequence through a SegmentedFileSink (one append + sync per record
+// — the per-record ack point) into a temp directory, mirror-applying each
+// acknowledged record into a live replica manager with a
+// LogStructuredStore attached, so fuzzy checkpoints of the replica carry
+// exact per-object LSNs. Every `evict_every` records one cold object is
+// evicted to the store (its state then lives only there, and later
+// mirror-applies fault it back in); `evict_every` 0 gives the
+// checkpoint-only run. Every `checkpoint_every` records a maintenance pass
+// runs: capture the anchor, publish the checkpoint as a synced store batch
+// (resident Puts + the meta key), truncate dead journal segments below the
+// now-durable anchor, and force-compact the store's oldest segment. One
+// named crash point — rot.* and trunc.* (txn/journal_io.h) or store.*
+// (store/log_store.h) — is armed on a CrashPoints shared by the journal
+// sink and the store; once it fires the simulated machine is dead: every
+// later append, checkpoint, store batch, and compaction fails, and the
+// remaining records are lost. Finally a freshly built system opens a fresh
+// store over the surviving segments, restarts through RestartFromDir, and
+// is audited:
 //
-//   1. recovery succeeds and lands on exactly the appended prefix — the
-//      (checkpoint, tail) pair on disk is consistent at every crash point;
+//   1. recovery lands on exactly the appended prefix — the (checkpoint,
+//      tail) pair on disk is consistent at every crash point, and in
+//      particular 0 acked records are lost;
 //   2. every recovered object's state equals an independent spec-level
-//      replay of that prefix (so in particular 0 acked-but-lost records).
-// ---------------------------------------------------------------------------
-
-struct CheckpointCrashOptions {
-  DriverOptions driver;
-  // Small so the scenario actually rotates (and truncates) segments.
-  uint64_t max_segment_bytes = 512;
-  // Records between maintenance passes (checkpoint + truncate); 0 picks
-  // roughly thirds of the run.
-  size_t checkpoint_every = 0;
-  // Named crash point to arm (rot.*, trunc.*, ckpt.*); empty = no crash.
-  std::string crash_point;
-  int replay_threads = 1;
-};
-
-struct CheckpointCrashResult {
-  size_t records_total = 0;     // ground-truth records the workload produced
-  size_t records_appended = 0;  // prefix that reached the disk before death
-  size_t acked_records = 0;     // append + sync both returned OK
-  bool crash_fired = false;     // the armed point was actually reached
-  size_t checkpoints_written = 0;
-  size_t truncations = 0;       // maintenance passes that removed segments
-  Status status;                // restart outcome
-  RestartSummary summary;
-  bool recovered_all_appended = false;  // audit (1) above
-  bool state_matches_prefix = false;    // audit (2) above
-
-  bool ok() const {
-    return status.ok() && recovered_all_appended && state_matches_prefix &&
-           acked_records <= records_appended;
-  }
-};
-
-CheckpointCrashResult RunCheckpointCrashScenario(
-    const SystemFactory& factory, const TxnBody& body,
-    const CheckpointCrashOptions& options);
-
-// ---------------------------------------------------------------------------
-// Store-backend crash scenario: RunCheckpointCrashScenario with the
-// persistent object store in the loop. Same three phases (ground-truth
-// workload, durable replay with maintenance, restart + audit), but the
-// replica manager runs with a LogStructuredStore attached: maintenance
-// passes evict cold objects (their state then lives only in the store and
-// later mirror-applies fault it back in), checkpoints publish as store
-// batches (no monolithic file unless also_write_file), truncation keys off
-// the durable store meta anchor, and each pass force-compacts the store's
-// oldest segment. One named crash point — the store.* family
-// (store/log_store.h) as well as the journal/checkpoint points — is armed
-// on a CrashPoints shared by the journal sink, the checkpointer, and the
-// store, so once it fires the whole simulated machine is dead. Restart
-// opens a fresh store over the surviving segments and recovers through the
-// store-preferring RestartFromDir. Audits are the checkpoint scenario's:
-//
-//   1. recovery lands on exactly the appended prefix — in particular,
-//      0 acked-but-lost records at every store crash point;
-//   2. every recovered object's state equals the spec-level replay of
-//      that prefix (evicted images, checkpoint batches, and the journal
-//      tail agree).
+//      replay of that prefix (evicted images, checkpoint batches, and the
+//      journal tail agree).
 // ---------------------------------------------------------------------------
 
 struct StoreCrashOptions {
@@ -238,12 +191,9 @@ struct StoreCrashOptions {
   // Records between eviction passes (one object evicted round-robin per
   // pass); 0 disables eviction.
   size_t evict_every = 4;
-  // Named crash point to arm (store.*, rot.*, trunc.*, ckpt.*); empty =
-  // no crash.
+  // Named crash point to arm (store.*, rot.*, trunc.*); empty = no crash.
   std::string crash_point;
   int replay_threads = 1;
-  // Also write monolithic checkpoint files next to the store batches.
-  bool also_write_file = false;
 };
 
 struct StoreCrashResult {

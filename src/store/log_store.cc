@@ -41,16 +41,6 @@ std::string SegmentHeaderPayload(uint64_t seq) {
   return StrFormat("sto %llu\n", static_cast<unsigned long long>(seq));
 }
 
-Status SimulatedCrash(std::string_view point) {
-  return Status::Unavailable(
-      StrFormat("simulated crash at %.*s", static_cast<int>(point.size()),
-                point.data()));
-}
-
-bool CrashFires(CrashPoints* crash, std::string_view point) {
-  return crash != nullptr && crash->Hit(point);
-}
-
 Status ErrnoError(const std::string& what) {
   return Status::Internal(what + ": " + std::strerror(errno));
 }

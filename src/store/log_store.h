@@ -72,7 +72,7 @@ struct LogStoreOptions {
   // outweigh the reclaim).
   uint64_t min_compact_bytes = 64ull << 10;
   // Optional fault injection (store.* points above). Not owned; may be
-  // shared with a SegmentedFileSink / Checkpointer.
+  // shared with a SegmentedFileSink.
   CrashPoints* crash = nullptr;
 };
 

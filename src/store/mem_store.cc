@@ -2,18 +2,7 @@
 
 #include "store/mem_store.h"
 
-#include "common/string_util.h"
-
 namespace ccr {
-namespace {
-
-Status SimulatedCrash(std::string_view point) {
-  return Status::Unavailable(
-      StrFormat("simulated crash at %.*s", static_cast<int>(point.size()),
-                point.data()));
-}
-
-}  // namespace
 
 Status MemObjectStore::ApplyBatch(const StoreWriteBatch& batch,
                                   Durability durability) {
@@ -22,10 +11,10 @@ Status MemObjectStore::ApplyBatch(const StoreWriteBatch& batch,
     --fail_batches_;
     return Status::Unavailable("injected store batch failure");
   }
-  if (crash_ != nullptr && crash_->Hit("store.before_batch")) {
+  if (CrashFires(crash_, "store.before_batch")) {
     return SimulatedCrash("store.before_batch");
   }
-  if (crash_ != nullptr && crash_->Hit("store.torn_batch")) {
+  if (CrashFires(crash_, "store.torn_batch")) {
     // A torn batch never becomes visible: the log-structured backend drops
     // the half-written frame at Open (CRC mismatch), and the mock mirrors
     // that by applying nothing. Atomicity is the contract under test.
@@ -42,13 +31,13 @@ Status MemObjectStore::ApplyBatch(const StoreWriteBatch& batch,
     }
   }
   ++stats_.batches;
-  if (crash_ != nullptr && crash_->Hit("store.after_batch")) {
+  if (CrashFires(crash_, "store.after_batch")) {
     // Batch applied (and, being memory, "durable"), but the caller never
     // hears the ack — the die-after-apply crash point.
     return SimulatedCrash("store.after_batch");
   }
   if (durability == Durability::kSync) {
-    if (crash_ != nullptr && crash_->Hit("store.before_sync")) {
+    if (CrashFires(crash_, "store.before_sync")) {
       return SimulatedCrash("store.before_sync");
     }
     ++stats_.syncs;

@@ -3,8 +3,8 @@
 // ObjectStore: the persistent storage tier behind the ADT layer. The
 // engine's durability story so far ends at the journal — object state
 // lives only in memory and is rebuilt by replay — so the dataset can
-// never exceed RAM and checkpoints land in ad-hoc monolithic image
-// files. The store closes that gap with a deliberately tiny contract,
+// never exceed RAM. The store closes that gap, and is where checkpoints
+// live, with a deliberately tiny contract,
 // in the style of an embedded-KV adapter (write batches applied
 // atomically at commit/checkpoint time, point reads, one scan for
 // restart):

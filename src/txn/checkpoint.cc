@@ -2,13 +2,9 @@
 
 #include "txn/checkpoint.h"
 
-#include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -17,152 +13,14 @@
 #include "txn/txn_manager.h"
 
 namespace ccr {
-namespace {
-
-constexpr std::string_view kCheckpointPrefix = "checkpoint.";
-constexpr std::string_view kCheckpointTmp = "checkpoint.tmp";
-
-// Parses "checkpoint.<digits>" into its anchor; nullopt for other names
-// (including checkpoint.tmp).
-std::optional<Lsn> ParseCheckpointAnchor(const std::string& name) {
-  if (name.size() <= kCheckpointPrefix.size() ||
-      std::string_view(name).substr(0, kCheckpointPrefix.size()) !=
-          kCheckpointPrefix) {
-    return std::nullopt;
-  }
-  const std::string digits = name.substr(kCheckpointPrefix.size());
-  if (digits.empty() ||
-      digits.find_first_not_of("0123456789") != std::string::npos) {
-    return std::nullopt;
-  }
-  return static_cast<Lsn>(std::strtoull(digits.c_str(), nullptr, 10));
-}
-
-// Checkpoint files of `dir`, newest (highest anchor) first.
-StatusOr<std::vector<std::pair<Lsn, std::string>>> ListCheckpoints(
-    const std::string& dir) {
-  StatusOr<std::vector<std::string>> names = ListDir(dir);
-  if (!names.ok()) return names.status();
-  std::vector<std::pair<Lsn, std::string>> found;
-  for (const std::string& name : *names) {
-    if (const std::optional<Lsn> anchor = ParseCheckpointAnchor(name)) {
-      found.emplace_back(*anchor, dir + "/" + name);
-    }
-  }
-  std::sort(found.begin(), found.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  return found;
-}
-
-Status SimulatedCrash(std::string_view point) {
-  return Status::Unavailable(
-      StrFormat("simulated crash at %.*s", static_cast<int>(point.size()),
-                point.data()));
-}
-
-bool CrashFires(CrashPoints* crash, std::string_view point) {
-  return crash != nullptr && crash->Hit(point);
-}
-
-}  // namespace
-
-std::string EncodeCheckpointPayload(const CheckpointImage& image) {
-  // Built with raw appends, never %s/c_str(): the encoded state is opaque
-  // codec output, and a c_str()-based format truncates it at the first NUL
-  // byte — producing a frame whose CRC is valid but whose payload silently
-  // lost state. (The decoder's getline is NUL-transparent already.)
-  std::string out = StrFormat(
-      "ckpt %llu %llu\n", static_cast<unsigned long long>(image.anchor),
-      static_cast<unsigned long long>(image.max_txn));
-  for (const CheckpointImage::ObjectEntry& entry : image.objects) {
-    if (entry.factory.empty()) {
-      out += "obj ";
-      out += entry.id;
-    } else {
-      out += "dyn ";
-      out += entry.id;
-      out += ' ';
-      out += entry.factory;
-    }
-    out += ' ';
-    out += StrFormat("%llu", static_cast<unsigned long long>(entry.lsn));
-    out += ' ';
-    out += entry.encoded;
-    out += '\n';
-  }
-  return out;
-}
-
-StatusOr<CheckpointImage> DecodeCheckpointPayload(std::string_view payload) {
-  std::istringstream lines{std::string(payload)};
-  std::string line;
-  if (!std::getline(lines, line)) {
-    return Status::Internal("empty checkpoint payload");
-  }
-  CheckpointImage image;
-  {
-    unsigned long long anchor = 0, max_txn = 0;
-    char trailing = 0;
-    if (std::sscanf(line.c_str(), "ckpt %llu %llu%c", &anchor, &max_txn,
-                    &trailing) != 2) {
-      return Status::Internal("checkpoint payload must start 'ckpt "
-                              "<anchor> <max_txn>'");
-    }
-    image.anchor = static_cast<Lsn>(anchor);
-    image.max_txn = static_cast<TxnId>(max_txn);
-  }
-  while (std::getline(lines, line)) {
-    if (line.empty()) continue;
-    // "obj <id> <lsn> <encoded>" / "dyn <id> <factory> <lsn> <encoded>":
-    // encoded is everything after the last header token and may be empty.
-    const bool dynamic = line.rfind("dyn ", 0) == 0;
-    if (!dynamic && line.rfind("obj ", 0) != 0) {
-      return Status::Internal("malformed checkpoint line: " + line);
-    }
-    CheckpointImage::ObjectEntry entry;
-    size_t pos = 4;
-    const size_t id_end = line.find(' ', pos);
-    if (id_end == std::string::npos || id_end == pos) {
-      return Status::Internal("checkpoint obj line missing id: " + line);
-    }
-    entry.id = line.substr(pos, id_end - pos);
-    pos = id_end + 1;
-    if (dynamic) {
-      const size_t factory_end = line.find(' ', pos);
-      if (factory_end == std::string::npos || factory_end == pos) {
-        return Status::Internal("checkpoint dyn line missing factory: " +
-                                line);
-      }
-      entry.factory = line.substr(pos, factory_end - pos);
-      pos = factory_end + 1;
-    }
-    const size_t lsn_end = line.find(' ', pos);
-    if (lsn_end == std::string::npos) {
-      return Status::Internal("checkpoint obj line missing state: " + line);
-    }
-    const std::string lsn_token = line.substr(pos, lsn_end - pos);
-    if (lsn_token.empty() ||
-        lsn_token.find_first_not_of("0123456789") != std::string::npos) {
-      return Status::Internal("checkpoint obj line has bad LSN: " + line);
-    }
-    entry.lsn = static_cast<Lsn>(std::strtoull(lsn_token.c_str(), nullptr, 10));
-    entry.encoded = line.substr(lsn_end + 1);
-    image.objects.push_back(std::move(entry));
-  }
-  return image;
-}
-
-std::string CheckpointFileName(Lsn anchor) {
-  return StrFormat("%.*s%012llu", static_cast<int>(kCheckpointPrefix.size()),
-                   kCheckpointPrefix.data(),
-                   static_cast<unsigned long long>(anchor));
-}
 
 std::string StoreObjectKey(const ObjectId& id) { return "o:" + id; }
 
 std::string EncodeStoreObjectValue(Lsn lsn, const std::string& factory,
                                    const std::string& encoded) {
-  // Raw appends for the same NUL-transparency reason as the file payload.
+  // Built with raw appends, never %s/c_str(): the encoded state is opaque
+  // codec output, and a c_str()-based format truncates it at the first NUL
+  // byte.
   std::string out = "img ";
   out += StrFormat("%llu", static_cast<unsigned long long>(lsn));
   out += ' ';
@@ -251,9 +109,11 @@ StatusOr<CheckpointImage> LoadCheckpointFromStore(ObjectStore* store) {
   return image;
 }
 
-Checkpointer::Checkpointer(std::string dir, CheckpointerOptions options)
-    : dir_(std::move(dir)), options_(options) {
-  CCR_CHECK(options_.keep >= 1);
+Checkpointer::Checkpointer(std::string /*dir*/, CheckpointerOptions options)
+    : options_(std::move(options)) {
+  CCR_CHECK_MSG(options_.store != nullptr,
+                "checkpoints live in the object store: set "
+                "CheckpointerOptions::store");
 }
 
 StatusOr<Lsn> Checkpointer::Write(TxnManager* manager, Lsn anchor) {
@@ -261,16 +121,11 @@ StatusOr<Lsn> Checkpointer::Write(TxnManager* manager, Lsn anchor) {
   // Snapshot every object. The anchor was captured before this walk, so
   // each snapshot includes every record with lsn <= anchor (plus possibly
   // later ones — that is the fuzziness; the per-object LSN records exactly
-  // how much).
-  CheckpointImage image;
-  image.anchor = anchor;
-  image.max_txn = manager->max_assigned_txn();
-  // resident[i]: image.objects[i] carries freshly snapshotted state. An
-  // evicted object contributes an entry with no state — its store image is
+  // how much). An evicted object contributes nothing: its store image is
   // current by construction (eviction wrote it under the object mutex after
-  // its LSN became durable, and the state is frozen while evicted), so the
-  // store path skips its Put and the file path reads the bytes back.
-  std::vector<bool> resident;
+  // its LSN became durable, and the state is frozen while evicted).
+  const TxnId max_txn = manager->max_assigned_txn();
+  std::vector<CheckpointImage::ObjectEntry> resident;
   for (AtomicObject* obj : manager->objects()) {
     if (!obj->adt().supports_state_codec()) {
       return Status::NotSupported(StrFormat(
@@ -287,216 +142,56 @@ StatusOr<Lsn> Checkpointer::Write(TxnManager* manager, Lsn anchor) {
           "factory name '%s' contains whitespace — not checkpointable",
           obj->factory_name().c_str()));
     }
-    if (options_.store != nullptr && obj->factory_name() == "-") {
+    if (obj->factory_name() == "-") {
       return Status::InvalidArgument(
           "factory name '-' collides with the store codec's empty-factory "
-          "sentinel — not checkpointable to a store");
+          "sentinel — not checkpointable");
     }
     AtomicObject::CheckpointSnapshot snap = obj->SnapshotForCheckpoint();
+    if (snap.state == nullptr) continue;  // evicted
     CheckpointImage::ObjectEntry entry;
     entry.id = obj->id();
     entry.factory = obj->factory_name();
     entry.lsn = snap.lsn;
-    if (snap.state == nullptr) {
-      if (options_.store == nullptr) {
-        return Status::IllegalState(StrFormat(
-            "object %s is evicted but no object store is attached",
-            obj->id().c_str()));
-      }
-      resident.push_back(false);
-    } else {
-      entry.encoded = obj->adt().EncodeState(*snap.state);
-      if (entry.encoded.find('\n') != std::string::npos) {
-        return Status::Internal(StrFormat(
-            "ADT %s state codec produced a newline",
-            obj->adt().name().c_str()));
-      }
-      resident.push_back(true);
+    entry.encoded = obj->adt().EncodeState(*snap.state);
+    if (entry.encoded.find('\n') != std::string::npos) {
+      return Status::Internal(StrFormat(
+          "ADT %s state codec produced a newline",
+          obj->adt().name().c_str()));
     }
-    image.objects.push_back(std::move(entry));
+    resident.push_back(std::move(entry));
   }
   if (options_.after_walk) options_.after_walk();
 
-  if (options_.store != nullptr) {
-    {
-      // The manager's store mutex serializes this batch against eviction
-      // Put+flips and drop Deletes. The per-Put rechecks close two races
-      // with the snapshot walk:
-      //  - resurrection: a drop that raced the walk has already retired
-      //    its object from the directory, and its key Delete runs under
-      //    this same mutex — re-Putting the snapshotted image would
-      //    recreate the key after journal truncation discards the drop
-      //    record;
-      //  - staleness: an object committed and evicted since the walk
-      //    carries a NEWER store image than the snapshot (eviction writes
-      //    the image and flips the evicted bit inside one store-mutex
-      //    critical section, at the object's last committed LSN).
-      //    Overwriting it with the older snapshot would fail every later
-      //    fault-in (image LSN != last committed LSN) until restart, and
-      //    later checkpoints could never repair the key because evicted
-      //    objects' Puts are skipped.
-      std::lock_guard<std::mutex> lock(manager->store_mutex());
-      StoreWriteBatch batch;
-      for (size_t i = 0; i < image.objects.size(); ++i) {
-        if (!resident[i]) continue;
-        const CheckpointImage::ObjectEntry& entry = image.objects[i];
-        AtomicObject* live = manager->object(entry.id);
-        if (live == nullptr || live->evicted()) continue;
-        batch.Put(StoreObjectKey(entry.id),
-                  EncodeStoreObjectValue(entry.lsn, entry.factory,
-                                         entry.encoded));
-      }
-      batch.Put(std::string(kStoreMetaKey),
-                EncodeStoreMetaValue(anchor, image.max_txn));
-      // The sync that lands the meta key is the durability point; by the
-      // store's append-order property it also hardens every earlier
-      // buffered eviction Put and drop Delete.
-      CCR_RETURN_IF_ERROR(options_.store->ApplyBatch(
-          batch, ObjectStore::Durability::kSync));
-    }
-    if (!options_.also_write_file) return anchor;
-    // Complete the monolithic file: evicted objects' bytes come back from
-    // the store. A key deleted meanwhile means the object was dropped —
-    // its entry simply leaves the file image (the tail's drop record
-    // handles replay either way). A newer image (fault-in, mutate,
-    // re-evict) is fine: the decoded (lsn, state) pair is taken together,
-    // which is exactly the fuzzy-snapshot contract.
-    std::vector<CheckpointImage::ObjectEntry> kept;
-    kept.reserve(image.objects.size());
-    for (size_t i = 0; i < image.objects.size(); ++i) {
-      if (resident[i]) {
-        kept.push_back(std::move(image.objects[i]));
-        continue;
-      }
-      StatusOr<std::string> value =
-          options_.store->Get(StoreObjectKey(image.objects[i].id));
-      if (!value.ok()) {
-        if (value.status().code() == StatusCode::kNotFound) continue;
-        return value.status();
-      }
-      StatusOr<CheckpointImage::ObjectEntry> decoded =
-          DecodeStoreObjectValue(*value);
-      if (!decoded.ok()) return decoded.status();
-      CheckpointImage::ObjectEntry entry = std::move(image.objects[i]);
-      entry.lsn = decoded->lsn;
-      entry.encoded = std::move(decoded->encoded);
-      kept.push_back(std::move(entry));
-    }
-    image.objects = std::move(kept);
+  // The manager's store mutex serializes this batch against eviction
+  // Put+flips and drop Deletes. The per-Put rechecks close two races with
+  // the snapshot walk:
+  //  - resurrection: a drop that raced the walk has already retired its
+  //    object from the directory, and its key Delete runs under this same
+  //    mutex — re-Putting the snapshotted image would recreate the key
+  //    after journal truncation discards the drop record;
+  //  - staleness: an object committed and evicted since the walk carries a
+  //    NEWER store image than the snapshot (eviction writes the image and
+  //    flips the evicted bit inside one store-mutex critical section, at
+  //    the object's last committed LSN). Overwriting it with the older
+  //    snapshot would fail every later fault-in (image LSN != last
+  //    committed LSN) until restart, and later checkpoints could never
+  //    repair the key because evicted objects' Puts are skipped.
+  std::lock_guard<std::mutex> lock(manager->store_mutex());
+  StoreWriteBatch batch;
+  for (const CheckpointImage::ObjectEntry& entry : resident) {
+    AtomicObject* live = manager->object(entry.id);
+    if (live == nullptr || live->evicted()) continue;
+    batch.Put(StoreObjectKey(entry.id),
+              EncodeStoreObjectValue(entry.lsn, entry.factory, entry.encoded));
   }
-  const std::string framed = FrameBlob(EncodeCheckpointPayload(image));
-
-  // Fail-atomic publication: tmp + sync + rename + dirsync. Until the
-  // rename the live name set is unchanged; after the dirsync the new image
-  // is durable under its final name. No crash point leaves a torn file
-  // under a checkpoint.<anchor> name.
-  const std::string tmp = dir_ + "/" + std::string(kCheckpointTmp);
-  const std::string final_path = dir_ + "/" + CheckpointFileName(anchor);
-  if (CrashFires(options_.crash, "ckpt.before_tmp")) {
-    return SimulatedCrash("ckpt.before_tmp");
-  }
-  StatusOr<std::unique_ptr<FileSink>> sink = FileSink::Open(tmp);
-  if (!sink.ok()) return sink.status();
-  if (CrashFires(options_.crash, "ckpt.torn_tmp")) {
-    // The crash interrupted the image write: leave half the frame behind.
-    // It sits under the tmp name, which recovery never reads.
-    (void)(*sink)->Append(
-        std::string_view(framed).substr(0, framed.size() / 2));
-    (void)(*sink)->Close();
-    return SimulatedCrash("ckpt.torn_tmp");
-  }
-  CCR_RETURN_IF_ERROR((*sink)->Append(framed));
-  if (CrashFires(options_.crash, "ckpt.before_tmp_sync")) {
-    (void)(*sink)->Close();
-    return SimulatedCrash("ckpt.before_tmp_sync");
-  }
-  CCR_RETURN_IF_ERROR((*sink)->Sync());
-  CCR_RETURN_IF_ERROR((*sink)->Close());
-  if (CrashFires(options_.crash, "ckpt.before_rename")) {
-    return SimulatedCrash("ckpt.before_rename");
-  }
-  if (std::rename(tmp.c_str(), final_path.c_str()) != 0) {
-    return Status::Internal(StrFormat("cannot rename %s to %s: %s",
-                                      tmp.c_str(), final_path.c_str(),
-                                      std::strerror(errno)));
-  }
-  if (CrashFires(options_.crash, "ckpt.before_dirsync")) {
-    return SimulatedCrash("ckpt.before_dirsync");
-  }
-  CCR_RETURN_IF_ERROR(SyncDir(dir_));
-
-  // The image is durable; everything below is garbage collection, whose
-  // failure modes only leave extra old checkpoints behind.
-  if (CrashFires(options_.crash, "ckpt.before_gc")) {
-    return SimulatedCrash("ckpt.before_gc");
-  }
-  StatusOr<std::vector<std::pair<Lsn, std::string>>> checkpoints =
-      ListCheckpoints(dir_);
-  if (!checkpoints.ok()) return checkpoints.status();
-  // Best-effort across the whole retention list: one unremovable image must
-  // not shield older ones from collection, and any successful removal still
-  // gets the directory sync that makes it durable. The first error is
-  // reported after the sweep completes.
-  Status gc_error = Status::OK();
-  bool removed = false;
-  for (size_t i = options_.keep; i < checkpoints->size(); ++i) {
-    if (std::remove((*checkpoints)[i].second.c_str()) != 0) {
-      if (gc_error.ok()) {
-        gc_error = Status::Internal(
-            StrFormat("cannot remove old checkpoint %s: %s",
-                      (*checkpoints)[i].second.c_str(), std::strerror(errno)));
-      }
-      continue;
-    }
-    removed = true;
-  }
-  if (removed) {
-    const Status sync = SyncDir(dir_);
-    if (gc_error.ok()) gc_error = sync;
-  }
-  CCR_RETURN_IF_ERROR(gc_error);
+  batch.Put(std::string(kStoreMetaKey), EncodeStoreMetaValue(anchor, max_txn));
+  // The sync that lands the meta key is the durability point; by the
+  // store's append-order property it also hardens every earlier buffered
+  // eviction Put and drop Delete.
+  CCR_RETURN_IF_ERROR(
+      options_.store->ApplyBatch(batch, ObjectStore::Durability::kSync));
   return anchor;
-}
-
-StatusOr<CheckpointImage> Checkpointer::LoadNewest(const std::string& dir) {
-  StatusOr<std::vector<std::pair<Lsn, std::string>>> checkpoints =
-      ListCheckpoints(dir);
-  if (!checkpoints.ok()) return checkpoints.status();
-  Status last_error = Status::OK();
-  for (const auto& [anchor, path] : *checkpoints) {
-    StatusOr<std::string> file = ReadFileImage(path);
-    if (!file.ok()) {
-      last_error = file.status();
-      continue;
-    }
-    StatusOr<std::string> payload = UnframeBlob(*file);
-    if (!payload.ok()) {
-      // Torn or rotted image. Fall back to the previous checkpoint: any
-      // truncation keyed to this anchor can only have run after this image
-      // was durable AND intact, so the older image still has its tail.
-      last_error = payload.status();
-      continue;
-    }
-    StatusOr<CheckpointImage> image = DecodeCheckpointPayload(*payload);
-    if (!image.ok()) {
-      last_error = image.status();
-      continue;
-    }
-    if (image->anchor != anchor) {
-      last_error = Status::Internal(StrFormat(
-          "checkpoint %s declares anchor %llu", path.c_str(),
-          static_cast<unsigned long long>(image->anchor)));
-      continue;
-    }
-    return image;
-  }
-  if (!checkpoints->empty() && !last_error.ok()) {
-    // Every image on disk is damaged — surface that rather than silently
-    // replaying from nothing (the journal was truncated against one of
-    // these anchors).
-    return last_error;
-  }
-  return CheckpointImage{};
 }
 
 }  // namespace ccr

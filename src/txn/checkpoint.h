@@ -1,11 +1,13 @@
 // Copyright 2026 The ccr Authors.
 //
-// Fuzzy checkpoints for the segmented journal. A checkpoint is one
-// checksummed file, checkpoint.<anchor>, holding each object's committed
-// state (through its ADT's state codec) together with the LSN of the last
-// commit record sequenced at that object, plus the anchor — the journal's
-// high LSN captured BEFORE the object walk — and the highest assigned
-// transaction id.
+// Fuzzy checkpoints for the segmented journal. A checkpoint lives in the
+// persistent object store (store/object_store.h): one key per object
+// holding its committed state (through its ADT's state codec) together
+// with the LSN of the last commit record sequenced at that object, plus
+// one meta key holding the anchor — the journal's high LSN captured
+// BEFORE the object walk — and the highest assigned transaction id. A
+// manager with no store attached cannot checkpoint; it restarts by
+// replaying its whole journal.
 //
 // The checkpoint is *fuzzy*: objects are snapshotted one at a time with
 // transactions still running, so the per-object LSNs generally differ and
@@ -19,13 +21,10 @@
 // wholly at or below the anchor of a *durable* checkpoint are dead and may
 // be truncated (DESIGN.md §4).
 //
-// The image is written fail-atomically: temp file + sync + rename + parent
-// directory fsync, so a crash at any point leaves either the old set of
-// checkpoints or the old set plus the complete new one — never a torn
-// file under a live checkpoint name. Loading falls back from a torn newest
-// image to the previous one, which is always sufficient: truncation
-// against the newer anchor can only have run after the newer image became
-// durable and intact.
+// The checkpoint is published as one synced store batch. The store's
+// frames are checksummed and a torn batch is dropped whole at Open, so a
+// crash at any point leaves either the previous meta record or the new
+// one — never a meta anchor whose object images are missing.
 
 #ifndef CCR_TXN_CHECKPOINT_H_
 #define CCR_TXN_CHECKPOINT_H_
@@ -38,7 +37,6 @@
 #include "common/status.h"
 #include "store/object_store.h"
 #include "txn/journal.h"
-#include "txn/journal_io.h"
 
 namespace ccr {
 
@@ -62,30 +60,9 @@ struct CheckpointImage {
   std::vector<ObjectEntry> objects;
 };
 
-// Textual payload of a checkpoint image (framed with FrameBlob on disk):
-//
-//   ckpt <anchor> <max_txn>
-//   obj <id> <lsn> <encoded>
-//   dyn <id> <factory> <lsn> <encoded>
-//   ...
-//
-// `obj` lines are eagerly registered objects; `dyn` lines carry the
-// factory that re-instantiates a dynamically created object on restart.
-// `encoded` is everything after the last header token (newline-free,
-// possibly empty). Object ids and factory names must be free of spaces
-// and newlines.
-std::string EncodeCheckpointPayload(const CheckpointImage& image);
-StatusOr<CheckpointImage> DecodeCheckpointPayload(std::string_view payload);
-
-// File name "checkpoint.<anchor>" (zero-padded so lexicographic order is
-// numeric order).
-std::string CheckpointFileName(Lsn anchor);
-
 // --- Store-backed checkpoint codec -----------------------------------------
 //
-// With an ObjectStore attached (CheckpointerOptions::store), checkpoints
-// live as one store key per object plus one metadata key, instead of (or in
-// addition to) the monolithic checkpoint.<anchor> file:
+// A checkpoint lives as one store key per object plus one metadata key:
 //
 //   key "o:<id>"  ->  "img <lsn> <factory-or-'-'> <encoded>"
 //   key "m"       ->  "meta <anchor> <max_txn>"
@@ -104,8 +81,8 @@ std::string CheckpointFileName(Lsn anchor);
 // A checkpoint is durable when the batch carrying the meta key syncs; the
 // store's append-order durability property then also covers every earlier
 // buffered eviction Put and drop Delete. Journal truncation must only ever
-// be keyed to anchors from durable meta records (or durable checkpoint
-// files) — never to eviction images alone.
+// be keyed to anchors from durable meta records — never to eviction images
+// alone.
 
 // "o:<id>" — the store key holding `id`'s newest encoded state.
 std::string StoreObjectKey(const ObjectId& id);
@@ -130,61 +107,39 @@ Status DecodeStoreMetaValue(std::string_view value, CheckpointImage* image);
 // store without a meta key yields the empty image (anchor 0, no objects):
 // eviction images may precede the first checkpoint, and without a durable
 // anchor they are only a cache — the journal remains authoritative, so the
-// caller must fall back to file images / full replay.
+// caller must fall back to full replay.
 StatusOr<CheckpointImage> LoadCheckpointFromStore(ObjectStore* store);
 
 struct CheckpointerOptions {
-  // Durable checkpoints retained after a successful write; older ones are
-  // garbage-collected. Must be >= 1; the default keeps one fallback.
-  size_t keep = 2;
-  // Optional fault injection (ckpt.before_tmp, ckpt.torn_tmp,
-  // ckpt.before_tmp_sync, ckpt.before_rename, ckpt.before_dirsync,
-  // ckpt.before_gc). Not owned; may be shared with a SegmentedFileSink.
-  CrashPoints* crash = nullptr;
-  // Persistent object-store backend. When set, Write publishes the
-  // checkpoint as one store batch — per-object "o:<id>" Puts for RESIDENT
-  // objects only (evicted objects' store images are already current), plus
-  // the meta key — applied with sync durability under the manager's store
-  // mutex. Must be the same store attached to the manager
+  // The persistent object store the checkpoint is published to. Required.
+  // Must be the same store attached to the manager
   // (TxnManager::set_object_store). Not owned.
   ObjectStore* store = nullptr;
-  // With a store attached, also write the monolithic checkpoint.<anchor>
-  // file (reading evicted objects' images back from the store to complete
-  // it). Default off: the store alone carries the checkpoint, and Write
-  // skips the file entirely — including its GC.
-  bool also_write_file = false;
   // Test-only: runs after the snapshot walk and before the image is
   // published — the window where commits, evictions, and drops race a
   // fuzzy checkpoint. Production callers leave it unset.
   std::function<void()> after_walk;
 };
 
-// Writes and loads checkpoint images in a journal directory.
+// Writes checkpoints of a manager into its object store.
 class Checkpointer {
  public:
-  Checkpointer(std::string dir, CheckpointerOptions options = {});
+  // `dir` is unused: checkpoints live in options.store. The parameter
+  // stays for callers that name the journal directory the store shares.
+  // Fatal when options.store is unset.
+  Checkpointer(std::string dir, CheckpointerOptions options);
 
-  // Snapshots every object of `manager` and publishes the checkpoint:
-  // without a store, as the fail-atomic checkpoint.<anchor> file; with a
-  // store (options.store), as one synced store batch (resident Puts + the
-  // meta key), optionally plus the file (options.also_write_file).
-  // `anchor` MUST have been read from the journal (its high LSN) before
-  // this call — the caller owns that ordering; Write cannot reconstruct
-  // it. kNotSupported if any object's ADT lacks a state codec (the system
-  // then keeps full-journal replay). On success the image is durable and,
-  // on the file path, older checkpoints beyond options.keep are
-  // garbage-collected. Returns the anchor written.
+  // Snapshots every object of `manager` and publishes the checkpoint as
+  // one synced store batch: Puts of the RESIDENT objects' images (evicted
+  // objects' store images are already current) plus the meta key, applied
+  // under the manager's store mutex. `anchor` MUST have been read from the
+  // journal (its high LSN) before this call — the caller owns that
+  // ordering; Write cannot reconstruct it. kNotSupported if any object's
+  // ADT lacks a state codec (the system then keeps full-journal replay).
+  // On success the checkpoint is durable. Returns the anchor written.
   StatusOr<Lsn> Write(TxnManager* manager, Lsn anchor);
 
-  // Decodes the newest intact checkpoint in `dir`; falls back to older
-  // images when the newest is torn or corrupt, and returns the empty image
-  // (anchor 0) when none exists.
-  static StatusOr<CheckpointImage> LoadNewest(const std::string& dir);
-
-  const std::string& dir() const { return dir_; }
-
  private:
-  const std::string dir_;
   const CheckpointerOptions options_;
 };
 

@@ -65,19 +65,6 @@ std::string FrameBlob(std::string_view payload) {
   return out;
 }
 
-StatusOr<std::string> UnframeBlob(std::string_view image) {
-  uint32_t len = 0;
-  if (!IntactJournalFrameAt(image, 0, &len)) {
-    return Status::Internal("framed blob damaged (torn write or bit rot)");
-  }
-  if (kJournalFrameHeaderSize + len != image.size()) {
-    return Status::Internal(
-        StrFormat("framed blob has %zu trailing bytes",
-                  image.size() - kJournalFrameHeaderSize - len));
-  }
-  return std::string(image.substr(kJournalFrameHeaderSize, len));
-}
-
 std::string EncodeCommitPayload(const Journal::CommitRecord& record) {
   std::string out =
       StrFormat("txn %llu\n", static_cast<unsigned long long>(record.txn));

@@ -48,14 +48,9 @@ namespace ccr {
 inline constexpr size_t kJournalFrameHeaderSize = 8;
 
 // Frames an arbitrary payload in the journal's [len][crc][payload] format.
-// Used for commit records, segment headers, and checkpoint images alike —
-// one checksummed container format for everything durable.
+// Used for commit records, journal segment headers, and store frames alike
+// — one checksummed container format for everything durable.
 std::string FrameBlob(std::string_view payload);
-
-// Inverse of FrameBlob for a single-frame image (checkpoint files): the
-// image must be exactly one intact frame. kInternal on damage (torn write
-// or bit rot) or trailing bytes.
-StatusOr<std::string> UnframeBlob(std::string_view image);
 
 // True iff an intact frame (in-bounds length, matching checksum) starts at
 // `pos` of `image`; `payload_len` (optional) receives its payload size.

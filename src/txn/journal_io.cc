@@ -303,10 +303,6 @@ StatusOr<std::vector<std::pair<uint64_t, std::string>>> ListSegments(
   return segments;
 }
 
-bool CrashFires(CrashPoints* crash, std::string_view point) {
-  return crash != nullptr && crash->Hit(point);
-}
-
 // Truncates `path` to `size` bytes and fsyncs the file. No directory sync
 // is needed: truncation changes the inode, not the directory entry.
 Status TruncateFileTo(const std::string& path, size_t size) {
@@ -354,13 +350,17 @@ Status TruncateTornTail(const std::string& path, const std::string& image) {
   return TruncateFileTo(path, offset);
 }
 
+}  // namespace
+
+bool CrashFires(CrashPoints* crash, std::string_view point) {
+  return crash != nullptr && crash->Hit(point);
+}
+
 Status SimulatedCrash(std::string_view point) {
   return Status::Unavailable(
       StrFormat("simulated crash at %.*s", static_cast<int>(point.size()),
                 point.data()));
 }
-
-}  // namespace
 
 std::string SegmentFileName(uint64_t seq) {
   return StrFormat("%.*s%06llu", static_cast<int>(kSegmentPrefix.size()),

@@ -29,7 +29,7 @@
 namespace ccr {
 
 // fsyncs a directory fd so created/renamed/unlinked entries are durable.
-// File creation, segment rotation, truncation, and checkpoint rename all
+// File creation, segment rotation, truncation, and store compaction all
 // require it — fdatasync on a file makes bytes durable, only the directory
 // fsync makes the name -> inode link (or its removal) durable.
 Status SyncDir(const std::string& dir);
@@ -40,12 +40,12 @@ Status SyncParentDir(const std::string& path);
 // Names of regular files directly in `dir` (unsorted, no "."/"..").
 StatusOr<std::vector<std::string>> ListDir(const std::string& dir);
 
-// Named crash points for maintenance-path fault injection (checkpoint
-// write, segment rotation, truncation). A component consults Hit(point) at
+// Named crash points for maintenance-path fault injection (segment
+// rotation, truncation, store batches and compaction). A component consults Hit(point) at
 // each named step; once the armed point fires the simulated process is
 // dead — Hit returns true for every subsequent call, so all further
 // durable operations fail fast with kUnavailable and nothing more reaches
-// the disk. Thread-safe (a checkpoint thread and the flusher may share
+// the disk. Thread-safe (a maintenance thread and the flusher may share
 // one).
 class CrashPoints {
  public:
@@ -86,6 +86,13 @@ class CrashPoints {
   bool dead_ = false;
   bool fired_ = false;
 };
+
+// True if `crash` is set and the component must die at `point` (see
+// CrashPoints::Hit).
+bool CrashFires(CrashPoints* crash, std::string_view point);
+
+// The kUnavailable a component returns when it dies at `point`.
+Status SimulatedCrash(std::string_view point);
 
 // Destination for journal bytes. Append-only; Sync is the durability
 // barrier (a record is crash-safe only once the Sync after it returns).
@@ -160,7 +167,8 @@ struct SegmentedSinkOptions {
   // Optional fault injection for rotation/truncation crash points
   // (rot.before_seal_sync, rot.before_seal_close, rot.after_create,
   // rot.before_header_sync, trunc.before_unlink, trunc.after_unlink,
-  // trunc.before_dirsync). Not owned; may be shared with a Checkpointer.
+  // trunc.before_dirsync). Not owned; may be shared with a
+  // LogStructuredStore.
   CrashPoints* crash = nullptr;
 };
 

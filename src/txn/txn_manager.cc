@@ -506,7 +506,7 @@ Status TxnManager::RestartFromImage(std::string_view image,
             },
             report);
       },
-      /*checkpoint_dir=*/"", RestartOptions{}, &summary);
+      RestartOptions{}, &summary);
 }
 
 StatusOr<RestartSummary> TxnManager::RestartFromDir(const std::string& dir,
@@ -516,49 +516,38 @@ StatusOr<RestartSummary> TxnManager::RestartFromDir(const std::string& dir,
       [&](Lsn after, const EntryFn& fn) {
         return ForEachSegmentedEntry(dir, after, fn, &summary.scan);
       },
-      dir, options, &summary));
+      options, &summary));
   return summary;
 }
 
 Status TxnManager::ReplayJournal(const EntryScan& scan,
-                                 const std::string& checkpoint_dir,
                                  RestartOptions options,
                                  RestartSummary* summary) {
   return RestartGuarded(
       [&](ReplayContext& ctx) {
-        // Prefer the store's checkpoint (its meta record) over the
-        // monolithic file: with a store attached the file may not even be
-        // written (CheckpointerOptions::also_write_file). A store without
-        // a meta record yields the empty image and falls back to the file.
+        // The checkpoint is the attached store's meta record; without a
+        // store, or before the first checkpoint, the image is empty and
+        // the journal replays in full.
         CheckpointImage image;
         if (store_ != nullptr) {
-          StatusOr<CheckpointImage> from_store =
-              LoadCheckpointFromStore(store_);
-          if (!from_store.ok()) return from_store.status();
-          if (from_store->anchor != 0 || !from_store->objects.empty()) {
-            image = std::move(*from_store);
-            summary->from_store = true;
-          }
-        }
-        if (!summary->from_store && !checkpoint_dir.empty()) {
-          StatusOr<CheckpointImage> from_file =
-              Checkpointer::LoadNewest(checkpoint_dir);
-          if (!from_file.ok()) return from_file.status();
-          image = std::move(*from_file);
+          StatusOr<CheckpointImage> loaded = LoadCheckpointFromStore(store_);
+          if (!loaded.ok()) return loaded.status();
+          image = std::move(*loaded);
         }
         summary->checkpoint_anchor = image.anchor;
 
-        // Install the checkpointed states. `dyn` entries name objects this
-        // manager never registered — re-instantiate them through the
-        // factory registry first (or, under lazy_store_install, defer them
-        // until the tail names them). An `obj` entry naming an unknown
-        // object is a configuration mismatch (its truncated records are
+        // Install the checkpointed states. Entries carrying a factory name
+        // objects this manager never registered — re-instantiate them
+        // through the factory registry first (or, under
+        // lazy_store_install, defer them until the tail names them). An
+        // entry without a factory naming an unknown object is a
+        // configuration mismatch (its truncated records are
         // unrecoverable elsewhere); a manager object missing from the
         // image simply replays its whole (surviving) history from the
         // initial state.
         std::map<ObjectId, Lsn> ckpt_lsn;
         std::map<ObjectId, const CheckpointImage::ObjectEntry*> deferred;
-        const bool lazy = options.lazy_store_install && summary->from_store;
+        const bool lazy = options.lazy_store_install && store_ != nullptr;
         CCR_RETURN_IF_ERROR(InstallImageObjects(
             ctx, image, &ckpt_lsn, lazy ? &deferred : nullptr,
             &summary->checkpoint_objects));

@@ -93,16 +93,13 @@ struct RestartSummary {
   // checkpoint LSN already covered them (the fuzzy overshoot).
   size_t tail_skipped = 0;
   // Lifecycle outcomes: objects re-created through the factory registry
-  // (image `dyn` entries + tail `create` records) and objects whose final
-  // journaled state is dropped (retired after replay).
+  // (image entries carrying a factory + tail `create` records) and objects
+  // whose final journaled state is dropped (retired after replay).
   size_t objects_created = 0;
   size_t objects_dropped = 0;
   Lsn high_lsn = 0;               // newest LSN on disk; journals resume after
   TxnId max_txn = 0;              // watermark restored (checkpoint + tail)
-  // Store-backed restart: whether the image came from the object store's
-  // meta record (vs a checkpoint file), and how many image objects were
-  // left deferred in the store (lazy_store_install).
-  bool from_store = false;
+  // Image objects left deferred in the store (lazy_store_install).
   size_t store_deferred = 0;
   SegmentScanReport scan;
 };
@@ -144,8 +141,8 @@ class TxnManager {
                           std::unique_ptr<RecoveryManager> recovery);
 
   // Registers a factory for lazy object creation. Names must be
-  // whitespace-free (they are journaled in create records and checkpoint
-  // `dyn` lines). Registering before restart is mandatory for any factory
+  // whitespace-free (they are journaled in create records and stored in
+  // checkpoint images). Registering before restart is mandatory for any factory
   // the journal names. Fatal on duplicate name.
   void RegisterFactory(const std::string& name, ObjectFactory factory);
 
@@ -257,8 +254,9 @@ class TxnManager {
   Status RestartFromImage(std::string_view image, RecoveryReport* report);
 
   // Checkpoint-aware restart from a segmented journal directory: installs
-  // the store's checkpoint or else the directory's newest intact
-  // checkpoint file, then replays only the records past its anchor. With
+  // the attached store's checkpoint, then replays only the records past
+  // its anchor (without a store, or before the first checkpoint, the whole
+  // journal). With
   // options.replay_threads > 1 the tail is bucketed per object and the
   // buckets fan out over that many threads; on one thread each record is
   // applied as it is decoded. Restart cost is the post-checkpoint tail,
@@ -427,16 +425,14 @@ class TxnManager {
   using EntryScan = std::function<Status(Lsn after, const EntryFn& fn)>;
 
   // The one restart replay routine behind RestartFromImage and
-  // RestartFromDir; they differ only in `scan` and in where a checkpoint
-  // comes from when the store holds none (`checkpoint_dir`'s newest file;
-  // empty: nowhere). Installs the checkpoint, then applies the rules for
+  // RestartFromDir; they differ only in `scan`. Installs the attached
+  // store's checkpoint (none without a store), then applies the rules for
   // each entry — lifecycle create and drop, per-object image coverage,
   // lazily deferred store images, orphan drops — and replays the commit
   // records per object: streamed on one thread, bucketed and fanned out
   // over options.replay_threads otherwise. Fills `summary`.
-  Status ReplayJournal(const EntryScan& scan,
-                       const std::string& checkpoint_dir,
-                       RestartOptions options, RestartSummary* summary);
+  Status ReplayJournal(const EntryScan& scan, RestartOptions options,
+                       RestartSummary* summary);
 
   // Shared restart plumbing: refuses live transactions, detaches journals,
   // runs `replay` with a context over the registered objects, reattaches,

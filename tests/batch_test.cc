@@ -393,13 +393,14 @@ TEST_P(BatchTest, CheckpointedRestartSplitsBatchAcrossBuckets) {
     }
     return manager->ExecuteBatch(txn, ops).status();
   };
-  CheckpointCrashOptions options;
+  StoreCrashOptions options;
   options.driver.threads = 2;
   options.driver.txns_per_thread = 15;
   options.checkpoint_every = 7;
+  options.evict_every = 0;
   options.replay_threads = 4;
-  const CheckpointCrashResult result =
-      RunCheckpointCrashScenario(factory, body, options);
+  const StoreCrashResult result =
+      RunStoreCrashScenario(factory, body, options);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_TRUE(result.ok());
   EXPECT_GT(result.checkpoints_written, 0u);

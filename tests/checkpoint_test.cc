@@ -1,12 +1,12 @@
 // Copyright 2026 The ccr Authors.
 //
 // Fuzzy checkpoints and the segmented journal: state-codec round trips for
-// every ADT, the checkpoint payload and image codecs, fail-atomic
-// checkpoint publication with torn-newest fallback, segment rotation /
-// truncation / continuity validation, checkpoint-then-tail restart
-// (serial and parallel, with LSN-space continuation), the fail-atomic
-// Restart regression, crash points across checkpoint write, rotation, and
-// truncation, and a fuzzy checkpoint taken under live concurrent load.
+// every ADT, the store image codec, checkpoint publication into the object
+// store, segment rotation / truncation / continuity validation,
+// checkpoint-then-tail restart (serial and parallel, with LSN-space
+// continuation), the fail-atomic Restart regression, crash points across
+// checkpoint publication, and a fuzzy checkpoint taken under live
+// concurrent load.
 
 #include <gtest/gtest.h>
 
@@ -32,6 +32,7 @@
 #include "adt/state_codec.h"
 #include "common/random.h"
 #include "sim/crash_harness.h"
+#include "store/log_store.h"
 #include "txn/checkpoint.h"
 #include "txn/du_recovery.h"
 #include "txn/group_commit.h"
@@ -135,34 +136,8 @@ TEST(StateCodecTest, EscapeTokenRoundTrips) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint image codec and publication
+// Checkpoint publication
 // ---------------------------------------------------------------------------
-
-TEST(CheckpointCodecTest, PayloadRoundTripsIncludingEmptyEncodings) {
-  CheckpointImage image;
-  image.anchor = 170;
-  image.max_txn = 99;
-  image.objects.push_back({"BA", "", 168, "i 41"});
-  image.objects.push_back({"Q", "", 170, "1 2 3"});
-  image.objects.push_back({"SET", "", 0, ""});  // empty state encoding
-  const std::string payload = EncodeCheckpointPayload(image);
-  StatusOr<CheckpointImage> back = DecodeCheckpointPayload(payload);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->anchor, 170u);
-  EXPECT_EQ(back->max_txn, 99u);
-  ASSERT_EQ(back->objects.size(), 3u);
-  EXPECT_EQ(back->objects[0].id, "BA");
-  EXPECT_EQ(back->objects[0].lsn, 168u);
-  EXPECT_EQ(back->objects[0].encoded, "i 41");
-  EXPECT_EQ(back->objects[1].encoded, "1 2 3");
-  EXPECT_EQ(back->objects[2].lsn, 0u);
-  EXPECT_EQ(back->objects[2].encoded, "");
-
-  EXPECT_FALSE(DecodeCheckpointPayload("").ok());
-  EXPECT_FALSE(DecodeCheckpointPayload("nope 1 2\n").ok());
-  EXPECT_FALSE(DecodeCheckpointPayload("ckpt 1 2\nobj onlyid\n").ok());
-  EXPECT_FALSE(DecodeCheckpointPayload("ckpt 1 2\nobj X notanum s\n").ok());
-}
 
 // A two-object UIP system used by most scenarios below.
 void TwoObjectFactory(TxnManager* manager) {
@@ -174,10 +149,34 @@ void TwoObjectFactory(TxnManager* manager) {
                      std::make_unique<UipRecovery>(set));
 }
 
-TEST(CheckpointerTest, WriteLoadNewestAndTornFallback) {
+// Checkpoints live in the object store: a LogStructuredStore sharing the
+// journal's directory.
+std::unique_ptr<LogStructuredStore> OpenStore(const std::string& dir) {
+  StatusOr<std::unique_ptr<LogStructuredStore>> store =
+      LogStructuredStore::Open(dir);
+  CCR_CHECK(store.ok());
+  return std::move(*store);
+}
+
+Checkpointer StoreCheckpointer(const std::string& dir, ObjectStore* store) {
+  CheckpointerOptions options;
+  options.store = store;
+  return Checkpointer(dir, options);
+}
+
+TEST(CheckpointerTest, StoreHoldsTheNewestCheckpointAcrossReopen) {
   TempDir dir;
+  std::unique_ptr<LogStructuredStore> store = OpenStore(dir.path());
+  // No meta key yet: the empty image (anchor 0, no objects) — "no
+  // checkpoint, replay everything".
+  StatusOr<CheckpointImage> none = LoadCheckpointFromStore(store.get());
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_EQ(none->anchor, 0u);
+  EXPECT_TRUE(none->objects.empty());
+
   TxnManager manager;
   TwoObjectFactory(&manager);
+  manager.set_object_store(store.get());
   Journal journal;
   for (AtomicObject* obj : manager.objects()) {
     obj->recovery().set_journal(&journal);
@@ -188,11 +187,8 @@ TEST(CheckpointerTest, WriteLoadNewestAndTornFallback) {
                     return manager.Execute(txn, ba->DepositInv(20)).status();
                   })
                   .ok());
-
-  Checkpointer checkpointer(dir.path());
-  const Lsn anchor1 = journal.high_lsn();
-  ASSERT_TRUE(checkpointer.Write(&manager, anchor1).ok());
-
+  Checkpointer checkpointer = StoreCheckpointer(dir.path(), store.get());
+  ASSERT_TRUE(checkpointer.Write(&manager, journal.high_lsn()).ok());
   ASSERT_TRUE(manager
                   .RunTransaction([&](Transaction* txn) {
                     return manager.Execute(txn, ba->WithdrawInv(5)).status();
@@ -201,11 +197,15 @@ TEST(CheckpointerTest, WriteLoadNewestAndTornFallback) {
   const Lsn anchor2 = journal.high_lsn();
   ASSERT_TRUE(checkpointer.Write(&manager, anchor2).ok());
 
-  // Newest wins; its per-object state reflects both transactions.
-  StatusOr<CheckpointImage> image = Checkpointer::LoadNewest(dir.path());
+  // The newest checkpoint wins, durably: a reopened store reads it back,
+  // and its per-object state reflects both transactions.
+  store.reset();
+  store = OpenStore(dir.path());
+  StatusOr<CheckpointImage> image = LoadCheckpointFromStore(store.get());
   ASSERT_TRUE(image.ok()) << image.status().ToString();
   EXPECT_EQ(image->anchor, anchor2);
   EXPECT_EQ(image->max_txn, manager.max_assigned_txn());
+  EXPECT_EQ(image->objects.size(), 2u);
   bool saw_ba = false;
   for (const auto& entry : image->objects) {
     if (entry.id != "BA") continue;
@@ -215,72 +215,6 @@ TEST(CheckpointerTest, WriteLoadNewestAndTornFallback) {
     EXPECT_TRUE((*state)->Equals(*manager.object("BA")->CommittedState()));
   }
   EXPECT_TRUE(saw_ba);
-
-  // Tear the newest image: loading falls back to the older checkpoint.
-  {
-    StatusOr<std::string> bytes =
-        ReadFileImage(dir.path() + "/" + CheckpointFileName(anchor2));
-    ASSERT_TRUE(bytes.ok());
-    std::string torn = bytes->substr(0, bytes->size() / 2);
-    StatusOr<std::unique_ptr<FileSink>> sink =
-        FileSink::Open(dir.path() + "/" + CheckpointFileName(anchor2));
-    ASSERT_TRUE(sink.ok());
-    ASSERT_TRUE((*sink)->Append(torn).ok());
-    ASSERT_TRUE((*sink)->Close().ok());
-  }
-  image = Checkpointer::LoadNewest(dir.path());
-  ASSERT_TRUE(image.ok()) << image.status().ToString();
-  EXPECT_EQ(image->anchor, anchor1);
-
-  // Both images damaged: recovery must refuse (the journal may have been
-  // truncated against one of these anchors), not silently replay nothing.
-  {
-    StatusOr<std::string> bytes =
-        ReadFileImage(dir.path() + "/" + CheckpointFileName(anchor1));
-    ASSERT_TRUE(bytes.ok());
-    std::string rotted = *bytes;
-    FlipByte(&rotted, rotted.size() / 2, 0x20);
-    StatusOr<std::unique_ptr<FileSink>> sink =
-        FileSink::Open(dir.path() + "/" + CheckpointFileName(anchor1));
-    ASSERT_TRUE(sink.ok());
-    ASSERT_TRUE((*sink)->Append(rotted).ok());
-    ASSERT_TRUE((*sink)->Close().ok());
-  }
-  EXPECT_FALSE(Checkpointer::LoadNewest(dir.path()).ok());
-}
-
-TEST(CheckpointerTest, EmptyDirLoadsEmptyImageAndGcKeepsTwo) {
-  TempDir dir;
-  StatusOr<CheckpointImage> none = Checkpointer::LoadNewest(dir.path());
-  ASSERT_TRUE(none.ok());
-  EXPECT_EQ(none->anchor, 0u);
-  EXPECT_TRUE(none->objects.empty());
-
-  TxnManager manager;
-  TwoObjectFactory(&manager);
-  Journal journal;
-  for (AtomicObject* obj : manager.objects()) {
-    obj->recovery().set_journal(&journal);
-  }
-  auto ba = MakeBankAccount();
-  Checkpointer checkpointer(dir.path());
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(manager
-                    .RunTransaction([&](Transaction* txn) {
-                      return manager.Execute(txn, ba->DepositInv(1)).status();
-                    })
-                    .ok());
-    ASSERT_TRUE(checkpointer.Write(&manager, journal.high_lsn()).ok());
-  }
-  // GC keeps the newest two checkpoint files (plus no tmp leftovers).
-  StatusOr<std::vector<std::string>> names = ListDir(dir.path());
-  ASSERT_TRUE(names.ok());
-  size_t checkpoints = 0;
-  for (const std::string& name : *names) {
-    EXPECT_NE(name, "checkpoint.tmp");
-    if (name.rfind("checkpoint.", 0) == 0) ++checkpoints;
-  }
-  EXPECT_EQ(checkpoints, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -534,6 +468,7 @@ TEST(SegmentedSinkTest, ReopenDoesNotUnlinkSegmentItCannotRead) {
 
 struct LifecycleWorld {
   TempDir dir;
+  std::unique_ptr<LogStructuredStore> store = OpenStore(dir.path());
   TxnManager manager;
   Journal journal;
   std::unique_ptr<SegmentedFileSink> sink;
@@ -542,6 +477,7 @@ struct LifecycleWorld {
 
   explicit LifecycleWorld(uint64_t max_segment_bytes = 160) {
     TwoObjectFactory(&manager);
+    manager.set_object_store(store.get());
     SegmentedSinkOptions options;
     options.max_segment_bytes = max_segment_bytes;
     StatusOr<std::unique_ptr<SegmentedFileSink>> opened =
@@ -579,7 +515,8 @@ TEST(RestartFromDirTest, CheckpointPlusTailSerialAndParallel) {
   }
   // Checkpoint, truncate, then keep committing: the post-crash journal is
   // checkpoint + tail only.
-  Checkpointer checkpointer(world.dir.path());
+  Checkpointer checkpointer =
+      StoreCheckpointer(world.dir.path(), world.store.get());
   const Lsn anchor = world.journal.high_lsn();
   StatusOr<Lsn> written = checkpointer.Write(&world.manager, anchor);
   ASSERT_TRUE(written.ok()) << written.status().ToString();
@@ -594,6 +531,7 @@ TEST(RestartFromDirTest, CheckpointPlusTailSerialAndParallel) {
   for (const int threads : {1, 4}) {
     TxnManager restarted;
     TwoObjectFactory(&restarted);
+    restarted.set_object_store(world.store.get());
     StatusOr<RestartSummary> summary =
         restarted.RestartFromDir(world.dir.path(), RestartOptions{threads});
     ASSERT_TRUE(summary.ok())
@@ -620,7 +558,8 @@ TEST(RestartFromDirTest, LsnSpaceContinuesAcrossRestart) {
   LifecycleWorld world;
   dir_ptr = &world.dir;
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(world.Deposit(2).ok());
-  Checkpointer checkpointer(world.dir.path());
+  Checkpointer checkpointer =
+      StoreCheckpointer(world.dir.path(), world.store.get());
   ASSERT_TRUE(
       checkpointer.Write(&world.manager, world.journal.high_lsn()).ok());
   ASSERT_TRUE(world.sink->TruncateBelow(world.journal.high_lsn()).ok());
@@ -631,6 +570,7 @@ TEST(RestartFromDirTest, LsnSpaceContinuesAcrossRestart) {
   // Generation 2: restart, resume journaling after high, commit more.
   TxnManager gen2;
   TwoObjectFactory(&gen2);
+  gen2.set_object_store(world.store.get());
   StatusOr<RestartSummary> summary = gen2.RestartFromDir(dir_ptr->path());
   ASSERT_TRUE(summary.ok());
   ASSERT_EQ(summary->high_lsn, high);
@@ -659,6 +599,7 @@ TEST(RestartFromDirTest, LsnSpaceContinuesAcrossRestart) {
   // records, states carried exactly.
   TxnManager gen3;
   TwoObjectFactory(&gen3);
+  gen3.set_object_store(world.store.get());
   StatusOr<RestartSummary> summary3 = gen3.RestartFromDir(dir_ptr->path());
   ASSERT_TRUE(summary3.ok()) << summary3.status().ToString();
   EXPECT_EQ(summary3->high_lsn, high + 1);
@@ -670,7 +611,8 @@ TEST(RestartFromDirTest, LsnSpaceContinuesAcrossRestart) {
 TEST(RestartFromDirTest, TornTailToleratedAcrossTwoRestarts) {
   LifecycleWorld world;
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(world.Deposit(2).ok());
-  Checkpointer checkpointer(world.dir.path());
+  Checkpointer checkpointer =
+      StoreCheckpointer(world.dir.path(), world.store.get());
   ASSERT_TRUE(
       checkpointer.Write(&world.manager, world.journal.high_lsn()).ok());
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(world.Deposit(10).ok());
@@ -689,6 +631,7 @@ TEST(RestartFromDirTest, TornTailToleratedAcrossTwoRestarts) {
   // protocol: a fresh active segment at high_lsn + 1, more commits.
   TxnManager gen2;
   TwoObjectFactory(&gen2);
+  gen2.set_object_store(world.store.get());
   StatusOr<RestartSummary> summary = gen2.RestartFromDir(world.dir.path());
   ASSERT_TRUE(summary.ok()) << summary.status().ToString();
   ASSERT_EQ(summary->high_lsn, high);
@@ -721,6 +664,7 @@ TEST(RestartFromDirTest, TornTailToleratedAcrossTwoRestarts) {
   // them (this restart returned kInternal before the fix).
   TxnManager gen3;
   TwoObjectFactory(&gen3);
+  gen3.set_object_store(world.store.get());
   StatusOr<RestartSummary> summary3 = gen3.RestartFromDir(world.dir.path());
   ASSERT_TRUE(summary3.ok()) << summary3.status().ToString();
   EXPECT_EQ(summary3->high_lsn, high + 1);
@@ -733,10 +677,14 @@ TEST(RestartTest, ReplayLsnsLiveInTheJournalsBaseSpace) {
   // A journal continuing a prior generation that ended at LSN 5 with a
   // checkpoint: its records carry LSNs 6, 7.
   TempDir dir;
+  std::unique_ptr<LogStructuredStore> store = OpenStore(dir.path());
   {
     TxnManager prior;
     TwoObjectFactory(&prior);
-    ASSERT_TRUE(Checkpointer(dir.path()).Write(&prior, 5).ok());
+    prior.set_object_store(store.get());
+    ASSERT_TRUE(StoreCheckpointer(dir.path(), store.get())
+                    .Write(&prior, 5)
+                    .ok());
   }
   StatusOr<std::unique_ptr<SegmentedFileSink>> sink =
       SegmentedFileSink::Open(dir.path(), 6, SegmentedSinkOptions{});
@@ -754,6 +702,7 @@ TEST(RestartTest, ReplayLsnsLiveInTheJournalsBaseSpace) {
   for (const int threads : {1, 3}) {
     TxnManager manager;
     TwoObjectFactory(&manager);
+    manager.set_object_store(store.get());
     StatusOr<RestartSummary> summary =
         manager.RestartFromDir(dir.path(), RestartOptions{threads});
     ASSERT_TRUE(summary.ok()) << summary.status().ToString();
@@ -875,25 +824,28 @@ TxnBody MixedBody() {
   };
 }
 
+// The checkpoint-only run (no eviction) crashed at every step of checkpoint
+// publication: the store batch carrying the meta key, its sync, and the
+// rotation and compaction that follow it. StoreCrashTest's sweep covers the
+// journal's rotation and truncation points too.
 TEST(CheckpointCrashTest, RecoveryConsistentAtEveryMaintenanceCrashPoint) {
   const std::vector<std::string> points = {
-      "",  // clean run: rotations, checkpoints, and truncations all land
-      "rot.before_seal_sync", "rot.before_seal_close", "rot.after_create",
-      "rot.before_header_sync", "trunc.before_unlink", "trunc.after_unlink",
-      "trunc.before_dirsync", "ckpt.before_tmp", "ckpt.torn_tmp",
-      "ckpt.before_tmp_sync", "ckpt.before_rename", "ckpt.before_dirsync",
-      "ckpt.before_gc"};
+      "",  // clean run: checkpoints, truncations, and compactions all land
+      "store.before_batch", "store.torn_batch", "store.after_batch",
+      "store.before_sync", "store.compact.before_rewrite"};
   for (const std::string& point : points) {
-    CheckpointCrashOptions options;
+    StoreCrashOptions options;
     options.driver.threads = 2;
     options.driver.txns_per_thread = 30;
     options.driver.seed = 7;
     options.max_segment_bytes = 256;
+    options.store_segment_bytes = 256;
     options.checkpoint_every = 15;
+    options.evict_every = 0;
     options.crash_point = point;
     options.replay_threads = 2;
-    const CheckpointCrashResult result =
-        RunCheckpointCrashScenario(TwoObjectFactory, MixedBody(), options);
+    const StoreCrashResult result =
+        RunStoreCrashScenario(TwoObjectFactory, MixedBody(), options);
     EXPECT_TRUE(result.ok())
         << "point '" << point << "': status " << result.status.ToString()
         << ", appended " << result.records_appended << "/"
@@ -901,6 +853,7 @@ TEST(CheckpointCrashTest, RecoveryConsistentAtEveryMaintenanceCrashPoint) {
         << ", recovered_all_appended " << result.recovered_all_appended
         << ", state_matches_prefix " << result.state_matches_prefix
         << ", high_lsn " << result.summary.high_lsn;
+    EXPECT_EQ(result.evictions, 0u);
     if (point.empty()) {
       EXPECT_FALSE(result.crash_fired);
       EXPECT_EQ(result.records_appended, result.records_total);
@@ -921,8 +874,10 @@ TEST(CheckpointCrashTest, RecoveryConsistentAtEveryMaintenanceCrashPoint) {
 
 TEST(FuzzyCheckpointTest, CheckpointsTakenUnderLoadRestartExactly) {
   TempDir dir;
+  std::unique_ptr<LogStructuredStore> store = OpenStore(dir.path());
   TxnManager manager;
   TwoObjectFactory(&manager);
+  manager.set_object_store(store.get());
   SegmentedSinkOptions options;
   options.max_segment_bytes = 512;
   StatusOr<std::unique_ptr<SegmentedFileSink>> sink =
@@ -941,7 +896,7 @@ TEST(FuzzyCheckpointTest, CheckpointsTakenUnderLoadRestartExactly) {
   // soundness argument hinges on.
   std::atomic<bool> done{false};
   std::atomic<int> passes{0};
-  Checkpointer checkpointer(dir.path());
+  Checkpointer checkpointer = StoreCheckpointer(dir.path(), store.get());
   std::thread maintenance([&] {
     while (!done.load(std::memory_order_acquire)) {
       const Lsn anchor = journal.high_lsn();
@@ -966,6 +921,7 @@ TEST(FuzzyCheckpointTest, CheckpointsTakenUnderLoadRestartExactly) {
 
   TxnManager restarted;
   TwoObjectFactory(&restarted);
+  restarted.set_object_store(store.get());
   StatusOr<RestartSummary> summary =
       restarted.RestartFromDir(dir.path(), RestartOptions{4});
   ASSERT_TRUE(summary.ok()) << summary.status().ToString();
@@ -978,8 +934,7 @@ TEST(FuzzyCheckpointTest, CheckpointsTakenUnderLoadRestartExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// State-codec fuzz (the empty-token / control-byte escaping regression) and
-// best-effort checkpoint GC
+// State-codec fuzz (the empty-token / control-byte escaping regression)
 // ---------------------------------------------------------------------------
 
 // Regression for the escaping bug: NeedsEscape treated only space, '%',
@@ -1035,7 +990,7 @@ TEST(StateCodecTest, EveryRegisteredAdtRoundTripsItsInitialState) {
 }
 
 // Degenerate KV payloads through every codec layer that carries them:
-// ADT state codec, the checkpoint file payload, and the store value codec.
+// the ADT state codec and the store value codec.
 TEST(StateCodecTest, DegenerateKvPayloadsRoundTripThroughEveryLayer) {
   const auto kv = MakeKvStore();
   KvState state;
@@ -1049,101 +1004,16 @@ TEST(StateCodecTest, DegenerateKvPayloadsRoundTripThroughEveryLayer) {
   ExpectRoundTrip(*kv, typed);
 
   const std::string encoded = kv->EncodeState(typed);
-  CheckpointImage image;
-  image.anchor = 9;
-  image.max_txn = 4;
-  image.objects.push_back({"KV", "", 9, encoded});
-  StatusOr<CheckpointImage> file_trip =
-      DecodeCheckpointPayload(EncodeCheckpointPayload(image));
-  ASSERT_TRUE(file_trip.ok()) << file_trip.status().ToString();
-  ASSERT_EQ(file_trip->objects.size(), 1u);
-  EXPECT_EQ(file_trip->objects[0].encoded, encoded);
-  StatusOr<std::unique_ptr<SpecState>> from_file =
-      kv->DecodeState(file_trip->objects[0].encoded);
-  ASSERT_TRUE(from_file.ok());
-  EXPECT_TRUE((*from_file)->Equals(typed));
-
   StatusOr<CheckpointImage::ObjectEntry> store_trip =
       DecodeStoreObjectValue(EncodeStoreObjectValue(9, "kv-factory", encoded));
   ASSERT_TRUE(store_trip.ok()) << store_trip.status().ToString();
   EXPECT_EQ(store_trip->lsn, 9u);
   EXPECT_EQ(store_trip->factory, "kv-factory");
   EXPECT_EQ(store_trip->encoded, encoded);
-}
-
-// GC is best-effort across the whole retention list: one unremovable old
-// image (here a checkpoint-named directory with a file inside, so
-// std::remove fails) must not shield older images from collection. The
-// error is reported — but only after the sweep removed everything it
-// could and made the removals durable with a directory sync.
-TEST(CheckpointerTest, GcIsBestEffortAndReportsFirstError) {
-  TempDir dir;
-  TxnManager manager;
-  TwoObjectFactory(&manager);
-  Journal journal;
-  for (AtomicObject* obj : manager.objects()) {
-    obj->recovery().set_journal(&journal);
-  }
-  auto ba = MakeBankAccount();
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(manager
-                    .RunTransaction([&](Transaction* txn) {
-                      return manager.Execute(txn, ba->DepositInv(5)).status();
-                    })
-                    .ok());
-  }
-
-  // Old images awaiting collection. GC sweeps newest-first, so the
-  // unremovable directory gets the HIGHEST victim anchor: an early-abort
-  // GC (the regression) would hit it first and leave the two removable
-  // files behind.
-  const std::string undead = dir.path() + "/" + CheckpointFileName(3);
-  ASSERT_EQ(::mkdir(undead.c_str(), 0700), 0);
-  {
-    std::FILE* f = std::fopen((undead + "/pin").c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fclose(f);
-  }
-  for (const Lsn anchor : {Lsn(1), Lsn(2)}) {
-    std::FILE* f =
-        std::fopen((dir.path() + "/" + CheckpointFileName(anchor)).c_str(),
-                   "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("stale", f);
-    std::fclose(f);
-  }
-
-  Checkpointer checkpointer(dir.path(), CheckpointerOptions{1});
-  const Lsn anchor = journal.high_lsn();
-  const StatusOr<Lsn> written = checkpointer.Write(&manager, anchor);
-  // The new image is durable and loadable; the GC failure is reported.
-  ASSERT_FALSE(written.ok()) << "unremovable image went unreported";
-  EXPECT_NE(written.status().message().find("cannot remove"),
-            std::string::npos)
-      << written.status().ToString();
-  StatusOr<CheckpointImage> newest = Checkpointer::LoadNewest(dir.path());
-  ASSERT_TRUE(newest.ok()) << newest.status().ToString();
-  EXPECT_EQ(newest->anchor, anchor);
-  // Both removable victims went even though the sweep's FIRST victim (the
-  // directory, newest of the old anchors) failed to remove.
-  struct ::stat st;
-  EXPECT_EQ(::stat(undead.c_str(), &st), 0) << "unremovable image vanished";
-  EXPECT_NE(::stat((dir.path() + "/" + CheckpointFileName(1)).c_str(), &st),
-            0);
-  EXPECT_NE(::stat((dir.path() + "/" + CheckpointFileName(2)).c_str(), &st),
-            0);
-
-  // A second write with the blocker gone succeeds and GCs cleanly.
-  ASSERT_EQ(std::remove((undead + "/pin").c_str()), 0);
-  ASSERT_EQ(::rmdir(undead.c_str()), 0);
-  ASSERT_TRUE(manager
-                  .RunTransaction([&](Transaction* txn) {
-                    return manager.Execute(txn, ba->DepositInv(1)).status();
-                  })
-                  .ok());
-  const StatusOr<Lsn> second =
-      checkpointer.Write(&manager, journal.high_lsn());
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  StatusOr<std::unique_ptr<SpecState>> decoded =
+      kv->DecodeState(store_trip->encoded);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_TRUE((*decoded)->Equals(typed));
 }
 
 }  // namespace

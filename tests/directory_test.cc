@@ -30,6 +30,7 @@
 #include "core/commutativity.h"
 #include "core/operation.h"
 #include "sim/crash_harness.h"
+#include "store/log_store.h"
 #include "txn/checkpoint.h"
 #include "txn/group_commit.h"
 #include "txn/journal.h"
@@ -112,6 +113,21 @@ class TempDir {
  private:
   std::string path_;
 };
+
+// Checkpoints live in the object store: a LogStructuredStore sharing the
+// journal's directory.
+std::unique_ptr<LogStructuredStore> OpenStore(const std::string& dir) {
+  StatusOr<std::unique_ptr<LogStructuredStore>> store =
+      LogStructuredStore::Open(dir);
+  CCR_CHECK(store.ok());
+  return std::move(*store);
+}
+
+Checkpointer StoreCheckpointer(const std::string& dir, ObjectStore* store) {
+  CheckpointerOptions options;
+  options.store = store;
+  return Checkpointer(dir, options);
+}
 
 // ---------------------------------------------------------------------------
 // Raw directory semantics
@@ -349,6 +365,7 @@ TEST(LifecycleRaceTest, ConcurrentCreateDropLookupExecute) {
 TEST(LifecycleRaceTest, LazyCreatesDuringRacingCheckpointRestartExactly) {
   constexpr int kIds = 60;
   TempDir dir;
+  std::unique_ptr<LogStructuredStore> store = OpenStore(dir.path());
   StatusOr<std::unique_ptr<SegmentedFileSink>> sink =
       SegmentedFileSink::Open(dir.path(), 1);
   ASSERT_TRUE(sink.ok());
@@ -361,6 +378,7 @@ TEST(LifecycleRaceTest, LazyCreatesDuringRacingCheckpointRestartExactly) {
   options.record_history = false;
   TxnManager manager(options);
   RegisterCounterFactory(&manager);
+  manager.set_object_store(store.get());
   manager.set_lifecycle_journal(&journal);
 
   // Workload thread lazily creates kIds objects and commits one increment
@@ -375,7 +393,7 @@ TEST(LifecycleRaceTest, LazyCreatesDuringRacingCheckpointRestartExactly) {
     }
     done.store(true, std::memory_order_release);
   });
-  Checkpointer checkpointer(dir.path());
+  Checkpointer checkpointer = StoreCheckpointer(dir.path(), store.get());
   size_t checkpoints = 0;
   while (!done.load(std::memory_order_acquire)) {
     const Lsn anchor = journal.high_lsn();
@@ -388,6 +406,7 @@ TEST(LifecycleRaceTest, LazyCreatesDuringRacingCheckpointRestartExactly) {
 
   TxnManager restarted(options);
   RegisterCounterFactory(&restarted);
+  restarted.set_object_store(store.get());
   const StatusOr<RestartSummary> summary =
       restarted.RestartFromDir(dir.path(), {/*replay_threads=*/2});
   ASSERT_TRUE(summary.ok()) << summary.status().ToString();
@@ -455,6 +474,7 @@ TEST(DynamicRestartTest, RestartFromDirReplaysLifecycleAcrossCheckpoint) {
   TempDir dir;
   Lsn anchor = 0;
   {
+    std::unique_ptr<LogStructuredStore> store = OpenStore(dir.path());
     StatusOr<std::unique_ptr<SegmentedFileSink>> sink =
         SegmentedFileSink::Open(dir.path(), 1);
     ASSERT_TRUE(sink.ok());
@@ -465,6 +485,7 @@ TEST(DynamicRestartTest, RestartFromDirReplaysLifecycleAcrossCheckpoint) {
 
     TxnManager manager;
     RegisterCounterFactory(&manager);
+    manager.set_object_store(store.get());
     manager.set_lifecycle_journal(&journal);
 
     // Pre-checkpoint: two dynamic objects with state.
@@ -473,13 +494,13 @@ TEST(DynamicRestartTest, RestartFromDirReplaysLifecycleAcrossCheckpoint) {
     ASSERT_TRUE(manager.GetOrCreate("B", kCounterFactory).ok());
     ASSERT_TRUE(CommitInc(&manager, "B", 2).ok());
 
-    Checkpointer checkpointer(dir.path());
+    Checkpointer checkpointer = StoreCheckpointer(dir.path(), store.get());
     anchor = journal.high_lsn();
     const StatusOr<Lsn> written = checkpointer.Write(&manager, anchor);
     ASSERT_TRUE(written.ok());
     ASSERT_TRUE((*sink)->TruncateBelow(*written).ok());
 
-    // Post-checkpoint tail: drop B (its `dyn` image entry must not
+    // Post-checkpoint tail: drop B (its image entry must not
     // resurrect it blindly), re-create it, create C, keep mutating A, and
     // leave D dropped.
     ASSERT_TRUE(manager.DropObject("B").ok());
@@ -493,8 +514,10 @@ TEST(DynamicRestartTest, RestartFromDirReplaysLifecycleAcrossCheckpoint) {
     ASSERT_TRUE(manager.DropObject("D").ok());
   }
 
+  std::unique_ptr<LogStructuredStore> store = OpenStore(dir.path());
   TxnManager restarted;
   RegisterCounterFactory(&restarted);
+  restarted.set_object_store(store.get());
   const StatusOr<RestartSummary> summary =
       restarted.RestartFromDir(dir.path(), {/*replay_threads=*/2});
   ASSERT_TRUE(summary.ok()) << summary.status().ToString();
@@ -552,6 +575,7 @@ TEST(DynamicRestartTest, ImageAndDirRestartsRecoverTheSameWorld) {
   for (const bool checkpoint : {false, true}) {
     SCOPED_TRACE(checkpoint ? "with checkpoint" : "without checkpoint");
     TempDir dir;
+    std::unique_ptr<LogStructuredStore> store = OpenStore(dir.path());
     SegmentedSinkOptions sink_options;
     sink_options.max_segment_bytes = 160;
     StatusOr<std::unique_ptr<SegmentedFileSink>> segments =
@@ -566,6 +590,7 @@ TEST(DynamicRestartTest, ImageAndDirRestartsRecoverTheSameWorld) {
 
     TxnManager manager;
     RegisterCounterFactory(&manager);
+    manager.set_object_store(store.get());
     manager.set_lifecycle_journal(&journal);
     ASSERT_TRUE(manager.GetOrCreate("A", kCounterFactory).ok());
     ASSERT_TRUE(CommitInc(&manager, "A", 5).ok());
@@ -587,7 +612,9 @@ TEST(DynamicRestartTest, ImageAndDirRestartsRecoverTheSameWorld) {
     Lsn anchor = 0;
     if (checkpoint) {
       anchor = fuzzy_anchor;
-      ASSERT_TRUE(Checkpointer(dir.path()).Write(&manager, anchor).ok());
+      ASSERT_TRUE(StoreCheckpointer(dir.path(), store.get())
+                      .Write(&manager, anchor)
+                      .ok());
       ASSERT_TRUE((*segments)->TruncateBelow(anchor).ok());
     }
     // The tail: re-create a dropped id on each side of the checkpoint,
@@ -627,6 +654,7 @@ TEST(DynamicRestartTest, ImageAndDirRestartsRecoverTheSameWorld) {
     for (const int threads : {1, 3}) {
       TxnManager restarted;
       RegisterCounterFactory(&restarted);
+      restarted.set_object_store(store.get());
       const StatusOr<RestartSummary> summary =
           restarted.RestartFromDir(dir.path(), RestartOptions{threads});
       ASSERT_TRUE(summary.ok()) << summary.status().ToString();
@@ -717,18 +745,19 @@ TEST(LifecycleCrashTest, MaintenanceCrashPointsWithLifecycleRecords) {
   const std::vector<std::string> points = {
       "",  // clean run: checkpoints and truncations all land
       "rot.before_seal_sync", "rot.after_create",  "trunc.before_unlink",
-      "trunc.after_unlink",   "ckpt.torn_tmp",     "ckpt.before_rename",
-      "ckpt.before_dirsync",  "ckpt.before_gc"};
+      "trunc.after_unlink",   "store.torn_batch",  "store.after_batch",
+      "store.before_sync"};
   for (const std::string& point : points) {
-    CheckpointCrashOptions options;
+    StoreCrashOptions options;
     options.driver.threads = 2;
     options.driver.txns_per_thread = 30;
     options.driver.seed = 13;
     options.max_segment_bytes = 256;
     options.checkpoint_every = 12;
+    options.evict_every = 0;
     options.crash_point = point;
     options.replay_threads = 2;
-    const CheckpointCrashResult result = RunCheckpointCrashScenario(
+    const StoreCrashResult result = RunStoreCrashScenario(
         LifecycleSystemFactory, LifecycleBody(), options);
     EXPECT_TRUE(result.ok())
         << "point '" << point << "': status " << result.status.ToString()

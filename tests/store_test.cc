@@ -424,7 +424,6 @@ Invocation ReadInv(const ObjectId& id) {
 // attached: the smallest world where eviction, fault-in, store
 // checkpoints, and restart all compose.
 struct StoreWorld {
-  TempDir dir;  // checkpointer home (unused unless also_write_file)
   MemObjectStore store;
   TxnManager manager;
   Journal journal;
@@ -587,8 +586,9 @@ TEST(EvictionTest, FuzzyCheckpointSkipsEvictedObjectsButRestartSeesThem) {
   ASSERT_TRUE(world.manager.EvictObject("D1").ok());
   const uint64_t puts_before = world.store.stats().puts;
 
-  Checkpointer checkpointer(world.dir.path(),
-                            CheckpointerOptions{2, nullptr, &world.store});
+  CheckpointerOptions options;
+  options.store = &world.store;
+  Checkpointer checkpointer(/*dir=*/"", options);
   StatusOr<Lsn> anchor =
       checkpointer.Write(&world.manager, world.journal.high_lsn());
   ASSERT_TRUE(anchor.ok()) << anchor.status().ToString();
@@ -652,10 +652,13 @@ struct DurableWorld {
   std::unique_ptr<JournalWriter> writer;
   std::unique_ptr<GroupCommitPipeline> pipeline;
 
-  DurableWorld() {
+  // `crash` (optional) is armed by the caller to kill the store.
+  explicit DurableWorld(CrashPoints* crash = nullptr) {
     RegisterCounterFactory(&manager);
+    LogStoreOptions store_options;
+    store_options.crash = crash;
     StatusOr<std::unique_ptr<LogStructuredStore>> opened_store =
-        LogStructuredStore::Open(dir.path());
+        LogStructuredStore::Open(dir.path(), store_options);
     CCR_CHECK(opened_store.ok());
     store = std::move(*opened_store);
     manager.set_object_store(store.get());
@@ -680,6 +683,12 @@ struct DurableWorld {
       return manager.Execute(txn, IncInv(id, amount)).status();
     });
   }
+
+  Checkpointer MakeCheckpointer() {
+    CheckpointerOptions options;
+    options.store = store.get();
+    return Checkpointer(dir.path(), options);
+  }
 };
 
 TEST(StoreRestartTest, RestartFromDirPrefersStoreCheckpoint) {
@@ -687,8 +696,7 @@ TEST(StoreRestartTest, RestartFromDirPrefersStoreCheckpoint) {
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(world.Inc("C" + std::to_string(i), i + 1).ok());
   }
-  Checkpointer checkpointer(
-      world.dir.path(), CheckpointerOptions{2, nullptr, world.store.get()});
+  Checkpointer checkpointer = world.MakeCheckpointer();
   const Lsn anchor = world.journal.high_lsn();
   StatusOr<Lsn> written = checkpointer.Write(&world.manager, anchor);
   ASSERT_TRUE(written.ok()) << written.status().ToString();
@@ -704,7 +712,6 @@ TEST(StoreRestartTest, RestartFromDirPrefersStoreCheckpoint) {
   StatusOr<RestartSummary> summary =
       restarted.RestartFromDir(world.dir.path());
   ASSERT_TRUE(summary.ok()) << summary.status().ToString();
-  EXPECT_TRUE(summary->from_store);
   EXPECT_EQ(summary->checkpoint_anchor, anchor);
   EXPECT_EQ(summary->checkpoint_objects, 6u);
   EXPECT_EQ(summary->high_lsn, world.journal.high_lsn());
@@ -722,8 +729,7 @@ TEST(StoreRestartTest, LazyStoreInstallDefersUntouchedObjects) {
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(world.Inc("C" + std::to_string(i), 10 + i).ok());
   }
-  Checkpointer checkpointer(
-      world.dir.path(), CheckpointerOptions{2, nullptr, world.store.get()});
+  Checkpointer checkpointer = world.MakeCheckpointer();
   const Lsn anchor = world.journal.high_lsn();
   ASSERT_TRUE(checkpointer.Write(&world.manager, anchor).ok());
   ASSERT_TRUE(world.sink->TruncateBelow(anchor).ok());
@@ -741,10 +747,14 @@ TEST(StoreRestartTest, LazyStoreInstallDefersUntouchedObjects) {
   StatusOr<RestartSummary> summary =
       restarted.RestartFromDir(world.dir.path(), options);
   ASSERT_TRUE(summary.ok()) << summary.status().ToString();
-  EXPECT_TRUE(summary->from_store);
+  EXPECT_EQ(summary->checkpoint_anchor, anchor);
   EXPECT_EQ(summary->store_deferred, 7u);
   EXPECT_EQ(summary->checkpoint_objects, 1u);  // only C0 materialized
   ASSERT_NE(restarted.object("C0"), nullptr);
+  // The tail-named object materialized from its image, then replayed the
+  // tail on top of it.
+  EXPECT_TRUE(restarted.object("C0")->CommittedState()->Equals(
+      *world.manager.object("C0")->CommittedState()));
   EXPECT_EQ(restarted.object("C3"), nullptr)
       << "deferred object entered the directory at restart";
 
@@ -770,6 +780,174 @@ TEST(StoreRestartTest, LazyStoreInstallDefersUntouchedObjects) {
                   })
                   .ok());
   EXPECT_EQ(c5, 15);
+}
+
+// The lazy-install skip: a tail record past the anchor that a deferred
+// object's own (fuzzy) image LSN already covers is skipped without
+// materializing the object — it stays deferred, and its store image, which
+// includes the record, is what a later fault-in reads.
+TEST(StoreRestartTest, LazySkipLeavesCoveredObjectDeferred) {
+  DurableWorld world;
+  ASSERT_TRUE(world.Inc("D1", 4).ok());
+  ASSERT_TRUE(world.Inc("D2", 5).ok());
+  // Fuzzy checkpoint: the anchor is captured before D1's next commit, the
+  // object walk after it — D1's image LSN covers a record past the anchor.
+  const Lsn anchor = world.journal.high_lsn();
+  ASSERT_TRUE(world.Inc("D1", 2).ok());
+  ASSERT_TRUE(world.MakeCheckpointer().Write(&world.manager, anchor).ok());
+  ASSERT_EQ(world.manager.object("D1")->last_committed_lsn(), anchor + 1);
+
+  StatusOr<std::unique_ptr<LogStructuredStore>> store2 =
+      LogStructuredStore::Open(world.dir.path());
+  ASSERT_TRUE(store2.ok());
+  TxnManager restarted;
+  RegisterCounterFactory(&restarted);
+  restarted.set_object_store(store2->get());
+  RestartOptions options;
+  options.lazy_store_install = true;
+  StatusOr<RestartSummary> summary =
+      restarted.RestartFromDir(world.dir.path(), options);
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_EQ(summary->checkpoint_anchor, anchor);
+  EXPECT_EQ(summary->tail_records, 1u);
+  EXPECT_EQ(summary->tail_skipped, 1u);
+  EXPECT_EQ(summary->store_deferred, 2u) << "the covered record materialized";
+  EXPECT_EQ(summary->checkpoint_objects, 0u);
+  EXPECT_EQ(restarted.object("D1"), nullptr)
+      << "a covered tail record must not materialize its deferred object";
+
+  int64_t d1 = 0;
+  ASSERT_TRUE(restarted
+                  .RunTransaction([&](Transaction* txn) {
+                    const StatusOr<Value> v =
+                        restarted.Execute(txn, ReadInv("D1"));
+                    if (!v.ok()) return v.status();
+                    d1 = v->AsInt();
+                    return Status::OK();
+                  })
+                  .ok());
+  EXPECT_EQ(d1, 6);
+}
+
+// The store re-delete on a deferred drop. The pre-crash drop's buffered
+// store Delete is lost, so its key survives into a lazy restart whose tail
+// drops the (deferred) object. That restart must delete the key again:
+// once a later checkpoint moves the anchor past the drop record, a
+// surviving key would be part of the checkpoint image and resurrect the
+// object at the next restart.
+TEST(StoreRestartTest, DeferredDropReDeletesKeyLostBeforeCrash) {
+  CrashPoints crash;
+  DurableWorld world(&crash);
+  const std::string& dir = world.dir.path();
+  ASSERT_TRUE(world.Inc("D1", 3).ok());
+  ASSERT_TRUE(world.Inc("D2", 7).ok());
+  const Lsn anchor = world.journal.high_lsn();
+  ASSERT_TRUE(world.MakeCheckpointer().Write(&world.manager, anchor).ok());
+  ASSERT_TRUE(world.sink->TruncateBelow(anchor).ok());
+  // The drop is journaled, then the machine dies before its store Delete:
+  // from here on the world's store writes nothing, and the world is not
+  // used again.
+  crash.Arm("store.before_batch");
+  EXPECT_FALSE(world.manager.DropObject("D2").ok());
+  ASSERT_TRUE(crash.fired());
+  const Lsn drop_lsn = world.journal.high_lsn();
+  ASSERT_EQ(drop_lsn, anchor + 1);
+
+  Lsn high = 0;
+  {
+    // Restart 1, lazy: D2 is deferred, and the tail's drop record names it.
+    StatusOr<std::unique_ptr<LogStructuredStore>> store =
+        LogStructuredStore::Open(dir);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Get(StoreObjectKey("D2")).ok())
+        << "the lost Delete should have left the key behind";
+    TxnManager restarted;
+    RegisterCounterFactory(&restarted);
+    restarted.set_object_store(store->get());
+    RestartOptions options;
+    options.lazy_store_install = true;
+    StatusOr<RestartSummary> summary = restarted.RestartFromDir(dir, options);
+    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    EXPECT_EQ(summary->tail_records, 1u);
+    EXPECT_EQ(summary->store_deferred, 1u);  // D1; D2's entry was dropped
+    EXPECT_EQ(restarted.object("D2"), nullptr);
+    high = summary->high_lsn;
+    ASSERT_EQ(high, drop_lsn);
+
+    // The next generation checkpoints past the drop record and truncates
+    // it away; the checkpoint's sync also hardens the restart's buffered
+    // re-delete.
+    StatusOr<std::unique_ptr<SegmentedFileSink>> sink =
+        SegmentedFileSink::Open(dir, high + 1, SegmentedSinkOptions{});
+    ASSERT_TRUE(sink.ok());
+    CheckpointerOptions ckpt_options;
+    ckpt_options.store = store->get();
+    ASSERT_TRUE(Checkpointer(dir, ckpt_options).Write(&restarted, high).ok());
+    ASSERT_TRUE((*sink)->TruncateBelow(high).ok());
+  }
+
+  // Restart 2, eager: the image must not bring D2 back.
+  StatusOr<std::unique_ptr<LogStructuredStore>> store =
+      LogStructuredStore::Open(dir);
+  ASSERT_TRUE(store.ok());
+  EXPECT_EQ((*store)->Get(StoreObjectKey("D2")).status().code(),
+            StatusCode::kNotFound)
+      << "the dropped object's store key survived restart";
+  TxnManager restarted;
+  RegisterCounterFactory(&restarted);
+  restarted.set_object_store(store->get());
+  StatusOr<RestartSummary> summary = restarted.RestartFromDir(dir);
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_EQ(summary->checkpoint_anchor, high);
+  EXPECT_EQ(restarted.object("D2"), nullptr) << "dropped object resurrected";
+  ASSERT_NE(restarted.object("D1"), nullptr);
+  const std::shared_ptr<Transaction> txn = restarted.Begin();
+  EXPECT_EQ(restarted.Execute(txn.get(), ReadInv("D2")).status().code(),
+            StatusCode::kNotFound);
+  ASSERT_TRUE(restarted.Abort(txn.get()).ok());
+}
+
+// The bucket purge on drop. A registered object dropped before the
+// checkpoint walk has no image entry, so restart rebuilds it from its
+// initial state — and its pre-drop records past the anchor are a partial
+// history that need not replay there (a withdraw against a zero balance).
+// The drop discards that incarnation, so the bucketed replay must purge
+// its records rather than replay them. (The purge is a rule of the
+// bucketed replay only: on one thread each record replays as it is
+// decoded, before the drop is seen, and that restart fails today — see
+// CHANGES.md.)
+TEST(StoreRestartTest, DropPurgesPartialHistoryOfRegisteredObject) {
+  DurableWorld world;
+  const auto ba = MakeBankAccount();
+  world.manager.AddObject("BA", ba, MakeNrbcConflict(ba),
+                          std::make_unique<UipRecovery>(ba));
+  world.manager.object("BA")->recovery().set_journal(&world.journal);
+  const auto run = [&](const Invocation& inv) {
+    return world.manager.RunTransaction([&](Transaction* txn) {
+      return world.manager.Execute(txn, inv).status();
+    });
+  };
+  ASSERT_TRUE(run(ba->DepositInv(5)).ok());
+  const Lsn anchor = world.journal.high_lsn();
+  ASSERT_TRUE(run(ba->WithdrawInv(5)).ok());
+  ASSERT_TRUE(world.Inc("C0", 1).ok());
+  ASSERT_TRUE(world.manager.DropObject("BA").ok());
+  ASSERT_TRUE(world.MakeCheckpointer().Write(&world.manager, anchor).ok());
+
+  for (const int threads : {2, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " replay threads");
+    TxnManager restarted;
+    RegisterCounterFactory(&restarted);
+    restarted.AddObject("BA", ba, MakeNrbcConflict(ba),
+                        std::make_unique<UipRecovery>(ba));
+    restarted.set_object_store(world.store.get());
+    StatusOr<RestartSummary> summary = restarted.RestartFromDir(
+        world.dir.path(), RestartOptions{threads});
+    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    EXPECT_EQ(summary->checkpoint_anchor, anchor);
+    EXPECT_EQ(restarted.object("BA"), nullptr);
+    ASSERT_NE(restarted.object("C0"), nullptr);
+  }
 }
 
 // Regression: between the checkpoint's snapshot walk and its store batch,
@@ -892,11 +1070,16 @@ TxnBody StoreSweepBody() {
   };
 }
 
+// The one maintenance crash sweep: every journal rotation and truncation
+// point and every store batch, rotation, and compaction point, with
+// eviction off (the checkpoint-only run) and on, under UIP+NRBC and DU+NFC.
 TEST(StoreCrashTest, RecoveryConsistentAtEveryStoreCrashPoint) {
   const std::vector<std::string> points = {
       "",  // clean run: evictions, checkpoints, compactions all land
-      "store.before_batch", "store.torn_batch", "store.after_batch",
-      "store.before_sync", "store.rot.before_seal",
+      "rot.before_seal_sync", "rot.before_seal_close", "rot.after_create",
+      "rot.before_header_sync", "trunc.before_unlink", "trunc.after_unlink",
+      "trunc.before_dirsync", "store.before_batch", "store.torn_batch",
+      "store.after_batch", "store.before_sync", "store.rot.before_seal",
       "store.rot.before_header_sync", "store.compact.before_rewrite",
       "store.compact.before_unlink", "store.compact.before_dirsync"};
   struct Mode {
@@ -906,44 +1089,49 @@ TEST(StoreCrashTest, RecoveryConsistentAtEveryStoreCrashPoint) {
   const std::vector<Mode> modes = {{"UIP", StoreSweepUipFactory},
                                    {"DU", StoreSweepDuFactory}};
   for (const Mode& mode : modes) {
-    for (const std::string& point : points) {
-      StoreCrashOptions options;
-      options.driver.threads = 2;
-      options.driver.txns_per_thread = 40;
-      options.driver.seed = 13;
-      options.max_segment_bytes = 256;
-      options.store_segment_bytes = 256;
-      options.checkpoint_every = 12;
-      options.evict_every = 3;
-      options.crash_point = point;
-      options.replay_threads = 2;
-      const StoreCrashResult result =
-          RunStoreCrashScenario(mode.factory, StoreSweepBody(), options);
-      EXPECT_TRUE(result.ok())
-          << mode.name << " point '" << point << "': status "
-          << result.status.ToString() << ", appended "
-          << result.records_appended << "/" << result.records_total
-          << ", acked " << result.acked_records
-          << ", recovered_all_appended " << result.recovered_all_appended
-          << ", state_matches_prefix " << result.state_matches_prefix
-          << ", evictions " << result.evictions << ", checkpoints "
-          << result.checkpoints_written << ", high_lsn "
-          << result.summary.high_lsn;
-      if (point.empty()) {
-        EXPECT_FALSE(result.crash_fired) << mode.name;
-        EXPECT_EQ(result.records_appended, result.records_total)
-            << mode.name;
-        EXPECT_GE(result.evictions, 1u) << mode.name;
-        EXPECT_GE(result.checkpoints_written, 1u) << mode.name;
-        EXPECT_GE(result.store_compactions, 1u) << mode.name;
-        EXPECT_TRUE(result.summary.from_store) << mode.name;
-      } else {
-        EXPECT_TRUE(result.crash_fired)
-            << mode.name << ": point '" << point
-            << "' never reached — the sweep lost coverage (evictions "
-            << result.evictions << ", checkpoints "
-            << result.checkpoints_written << ", compactions "
-            << result.store_compactions << ")";
+    for (const size_t evict_every : {0u, 3u}) {
+      for (const std::string& point : points) {
+        SCOPED_TRACE(std::string(mode.name) + ", evict_every " +
+                     std::to_string(evict_every) + ", point '" + point + "'");
+        StoreCrashOptions options;
+        options.driver.threads = 2;
+        options.driver.txns_per_thread = 40;
+        options.driver.seed = 13;
+        options.max_segment_bytes = 256;
+        options.store_segment_bytes = 256;
+        options.checkpoint_every = 12;
+        options.evict_every = evict_every;
+        options.crash_point = point;
+        options.replay_threads = 2;
+        const StoreCrashResult result =
+            RunStoreCrashScenario(mode.factory, StoreSweepBody(), options);
+        // ok() includes 0 acked records lost: recovery lands on exactly the
+        // appended prefix, which holds every acked record.
+        EXPECT_TRUE(result.ok())
+            << "status " << result.status.ToString() << ", appended "
+            << result.records_appended << "/" << result.records_total
+            << ", acked " << result.acked_records
+            << ", recovered_all_appended " << result.recovered_all_appended
+            << ", state_matches_prefix " << result.state_matches_prefix
+            << ", evictions " << result.evictions << ", checkpoints "
+            << result.checkpoints_written << ", high_lsn "
+            << result.summary.high_lsn;
+        if (evict_every == 0) EXPECT_EQ(result.evictions, 0u);
+        if (point.empty()) {
+          EXPECT_FALSE(result.crash_fired);
+          EXPECT_EQ(result.records_appended, result.records_total);
+          if (evict_every != 0) EXPECT_GE(result.evictions, 1u);
+          EXPECT_GE(result.checkpoints_written, 1u);
+          EXPECT_GE(result.truncations, 1u);
+          EXPECT_GE(result.store_compactions, 1u);
+          EXPECT_GT(result.summary.checkpoint_anchor, 0u);
+        } else {
+          EXPECT_TRUE(result.crash_fired)
+              << "point never reached — the sweep lost coverage (evictions "
+              << result.evictions << ", checkpoints "
+              << result.checkpoints_written << ", compactions "
+              << result.store_compactions << ")";
+        }
       }
     }
   }
