@@ -130,7 +130,7 @@ CellResult RunCellOnce(int threads, int txns_per_thread, int batch,
   options.txns_per_thread = txns_per_thread;
   const DriverResult result = RunWorkload(&sys.manager, body, options);
   sys.pipeline->Drain();
-  return CellResult{result.throughput, sys.journal.size(),
+  return CellResult{result.throughput, sys.journal.high_lsn(),
                     sys.pipeline->stats().syncs};
 }
 

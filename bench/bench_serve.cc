@@ -59,6 +59,7 @@
 #include "sim/driver.h"
 #include "sim/open_loop.h"
 #include "txn/group_commit.h"
+#include "txn/journal_format.h"
 #include "txn/journal_io.h"
 #include "txn/txn_manager.h"
 
@@ -115,7 +116,7 @@ struct ServeSystem {
 
   ServeSystem(const std::string& path, EngineConfig config,
               DurabilityMode mode)
-      : manager(ManagerOptions()) {
+      : path(path), manager(ManagerOptions()) {
     std::remove(path.c_str());
     auto opened = FileSink::Open(path);
     CCR_CHECK(opened.ok());
@@ -132,6 +133,7 @@ struct ServeSystem {
   }
   ~ServeSystem() { pipeline->Drain(); }
 
+  std::string path;
   std::unique_ptr<FileSink> sink;
   std::unique_ptr<JournalWriter> writer;
   std::unique_ptr<GroupCommitPipeline> pipeline;
@@ -150,12 +152,19 @@ struct CellResult {
   uint64_t acked_ops = 0;   // per-op results delivered with OK acks
 };
 
+// Counts what the run left in its journal file: the drained image,
+// decoded.
 void FillJournalCounts(ServeSystem* sys, CellResult* cell) {
-  cell->records = sys->journal.size();
+  sys->pipeline->Drain();
   cell->syncs = sys->pipeline->stats().syncs;
-  for (const Journal::Entry& entry : sys->journal.Entries()) {
-    if (!entry.is_lifecycle) cell->journal_ops += entry.commit.ops.size();
-  }
+  StatusOr<std::string> image = ReadFileImage(sys->path);
+  CCR_CHECK(image.ok());
+  StatusOr<DecodedJournal> decoded = ScanJournalImage(*image, nullptr);
+  CCR_CHECK(decoded.ok());
+  cell->records = decoded->entries.size();
+  decoded->ForEachRecord([cell](const Journal::CommitRecord& record) {
+    cell->journal_ops += record.ops.size();
+  });
 }
 
 // The pre-PR-10 serving model: one thread per client, each parking in

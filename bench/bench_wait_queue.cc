@@ -1,17 +1,14 @@
 // Copyright 2026 The ccr Authors.
 //
-// PERF-WAITQ: cost of the blocking path itself, polling baseline vs the
-// event-driven wait queue, at 2/8/32 workers. The polling baseline
-// (WakeupMode::kPolling) reproduces the old engine's cost model: every
-// state change signals every sleeper, sleepers additionally wake on a 2 ms
-// slice, and a deadlock victim learns of its kill only at the next slice.
+// PERF-WAITQ: cost of the blocking path itself — the event-driven wait
+// queue at 2/8/32 workers.
 //
 // Two scenarios:
 //  * handoff — a single hot counter under read/write conflicts; every
 //    commit must hand the object to the next waiter in line.
 //  * deadlock — worker pairs acquire their two objects in opposite orders,
-//    so nearly every round the detector kills a victim; victim wakeup
-//    latency (slice-quantized vs direct) gates round turnaround.
+//    so nearly every round the detector kills a victim; direct victim
+//    wakeup latency gates round turnaround.
 
 #include <atomic>
 #include <cstdio>
@@ -29,11 +26,10 @@ constexpr int kTxnsPerThread = 60;
 // wakeup latency — not hold time — dominates the handoff.
 constexpr std::chrono::microseconds kWorkPerOp{50};
 
-DriverResult RunContended(WakeupMode mode, int threads) {
+DriverResult RunContended(int threads) {
   auto ctr = MakeCounter("HOT");
   TxnManagerOptions options;
   options.record_history = false;
-  options.wakeup = mode;
   options.lock_timeout = std::chrono::milliseconds(30000);
   TxnManager manager(options);
   // Read/write conflicts: every increment conflicts with every other, so
@@ -58,11 +54,10 @@ DriverResult RunContended(WakeupMode mode, int threads) {
 // Worker pairs deadlocking on their private object pair: worker 2i takes
 // X_i then Y_i, worker 2i+1 takes Y_i then X_i. With only the pair touching
 // its objects, a blocked victim gets no third-party signals — its kill
-// arrives either directly (event-driven) or at the next slice (polling).
-DriverResult RunDeadlockPairs(WakeupMode mode, int threads) {
+// arrives only as a direct wakeup.
+DriverResult RunDeadlockPairs(int threads) {
   TxnManagerOptions options;
   options.record_history = false;
-  options.wakeup = mode;
   options.policy = DeadlockPolicy::kDetect;
   options.lock_timeout = std::chrono::milliseconds(30000);
   TxnManager manager(options);
@@ -100,27 +95,19 @@ DriverResult RunDeadlockPairs(WakeupMode mode, int threads) {
       driver_options);
 }
 
-const char* ModeName(WakeupMode mode) {
-  return mode == WakeupMode::kEventDriven ? "event-driven" : "polling";
-}
-
-void PrintScenario(const char* name, DriverResult (*run)(WakeupMode, int)) {
+void PrintScenario(const char* name, DriverResult (*run)(int)) {
   std::printf("scenario: %s\n", name);
-  TablePrinter table({"mode", "workers", "txn/s", "waits", "wakeups",
-                      "spurious", "killwakes", "maxq", "waitp99(us)"});
+  TablePrinter table({"workers", "txn/s", "waits", "wakeups", "spurious",
+                      "killwakes", "maxq", "waitp99(us)"});
   for (int threads : {2, 8, 32}) {
-    for (WakeupMode mode :
-         {WakeupMode::kPolling, WakeupMode::kEventDriven}) {
-      const DriverResult r = run(mode, threads);
-      table.AddRow({ModeName(mode), StrFormat("%d", threads),
-                    StrFormat("%.0f", r.throughput),
-                    StrFormat("%llu", (unsigned long long)r.waits),
-                    StrFormat("%llu", (unsigned long long)r.wakeups),
-                    StrFormat("%llu", (unsigned long long)r.spurious_wakeups),
-                    StrFormat("%llu", (unsigned long long)r.kill_wakeups),
-                    StrFormat("%llu", (unsigned long long)r.max_queue_depth),
-                    StrFormat("%llu", (unsigned long long)r.wait_p99_us)});
-    }
+    const DriverResult r = run(threads);
+    table.AddRow({StrFormat("%d", threads), StrFormat("%.0f", r.throughput),
+                  StrFormat("%llu", (unsigned long long)r.waits),
+                  StrFormat("%llu", (unsigned long long)r.wakeups),
+                  StrFormat("%llu", (unsigned long long)r.spurious_wakeups),
+                  StrFormat("%llu", (unsigned long long)r.kill_wakeups),
+                  StrFormat("%llu", (unsigned long long)r.max_queue_depth),
+                  StrFormat("%llu", (unsigned long long)r.wait_p99_us)});
   }
   std::printf("%s\n", table.ToString().c_str());
 }
@@ -131,17 +118,15 @@ void PrintScenario(const char* name, DriverResult (*run)(WakeupMode, int)) {
 int main() {
   using namespace ccr;
   std::printf(
-      "PERF-WAITQ: polling vs event-driven wakeup\n"
+      "PERF-WAITQ: event-driven wakeup\n"
       "%d txns/thread, %lldus hold per op\n\n",
       kTxnsPerThread, static_cast<long long>(kWorkPerOp.count()));
 
   PrintScenario("handoff (hot counter, RW conflicts)", RunContended);
   PrintScenario("deadlock (opposite-order pairs)", RunDeadlockPairs);
   std::printf(
-      "Shape to check: event-driven throughput at least matches polling at\n"
-      "8+ workers in the handoff scenario and clearly beats it in the\n"
-      "deadlock scenario, where a polling victim learns of its kill only at\n"
-      "the next 2 ms slice while the event-driven victim is signaled\n"
-      "directly (killwakes > 0, lower waitp99).\n");
+      "Shape to check: spurious stays near 0 (wakeups are targeted), and\n"
+      "in the deadlock scenario every victim is signaled directly\n"
+      "(killwakes > 0).\n");
   return 0;
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # One-command gate: build + full tier-1 test suite, then the crash-recovery
-# suite (ctest label `crash`) under AddressSanitizer and ThreadSanitizer.
+# suite and the bench smokes (ctest labels `crash` and `smoke`) under
+# AddressSanitizer and ThreadSanitizer.
 #
 #   scripts/check.sh               # everything
 #   scripts/check.sh --fast        # tier-1 only (skip sanitizer builds)
@@ -10,8 +11,9 @@
 #                                  # rules (scripts/mutants.sh); not part
 #                                  # of the default run or --fast
 #
-# Uses the CMake presets in CMakePresets.json (default / asan / tsan).
-# The sanitizer list below is the only copy: CI runs it per preset.
+# Uses the CMake presets in CMakePresets.json (default / asan / tsan). The
+# smoke list lives in bench/CMakeLists.txt (ctest label `smoke`); CI runs
+# this script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,24 +22,10 @@ JOBS="${JOBS:-$(nproc)}"
 # Crash suite and smokes under one sanitizer preset.
 run_sanitizer() {
   local san="$1"
-  echo "==> crash suite under ${san} (ctest -L crash)"
+  echo "==> crash suite and bench smokes under ${san} (ctest -L 'crash|smoke')"
   cmake --preset "${san}"
   cmake --build --preset "${san}" -j "${JOBS}"
   ctest --preset "crash-${san}" -j "${JOBS}"
-  echo "==> directory stress under ${san}"
-  cmake --build --preset "${san}" -j "${JOBS}" --target bench_directory
-  "./build-${san}/bench/bench_directory" --stress-smoke
-  echo "==> batch smoke under ${san}"
-  cmake --build --preset "${san}" -j "${JOBS}" --target bench_batch
-  "./build-${san}/bench/bench_batch" --smoke
-  echo "==> eviction stress under ${san}"
-  "./build-${san}/bench/bench_directory" --evict
-  echo "==> store smoke under ${san}"
-  cmake --build --preset "${san}" -j "${JOBS}" --target bench_store
-  "./build-${san}/bench/bench_store" --smoke
-  echo "==> serve smoke under ${san}"
-  cmake --build --preset "${san}" -j "${JOBS}" --target bench_serve
-  "./build-${san}/bench/bench_serve" --smoke
 }
 
 FAST=0
@@ -55,33 +43,11 @@ case "${1:-}" in
   --mutants) exec scripts/mutants.sh ;;
 esac
 
+# The full run includes the bench smokes (label `smoke`).
 echo "==> tier-1: configure + build + full ctest (preset: default)"
 cmake --preset default
 cmake --build --preset default -j "${JOBS}"
 ctest --preset default -j "${JOBS}"
-
-echo "==> restart smoke: checkpoint + tail replay audit (bench_journal)"
-cmake --build --preset default -j "${JOBS}" --target bench_journal
-./build/bench/bench_journal --restart-smoke
-
-echo "==> directory stress: 100k-object create/drop/lookup race (bench_directory)"
-cmake --build --preset default -j "${JOBS}" --target bench_directory
-./build/bench/bench_directory --stress-smoke
-
-echo "==> batch smoke: record economy + multi-object crash audit (bench_batch)"
-cmake --build --preset default -j "${JOBS}" --target bench_batch
-./build/bench/bench_batch --smoke
-
-echo "==> eviction stress: cache-pressure create/drop/evict race (bench_directory --evict)"
-./build/bench/bench_directory --evict
-
-echo "==> store smoke: eviction sweep + restart arms + store crash sweep (bench_store)"
-cmake --build --preset default -j "${JOBS}" --target bench_store
-./build/bench/bench_store --smoke
-
-echo "==> serve smoke: conservation + shed accounting + serving crash audit (bench_serve)"
-cmake --build --preset default -j "${JOBS}" --target bench_serve
-./build/bench/bench_serve --smoke
 
 if [[ "${FAST}" == 1 ]]; then
   echo "==> --fast: skipping sanitizer crash suites"

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -16,6 +17,7 @@
 
 #include "common/string_util.h"
 #include "common/temp_path.h"
+#include "sim/memory_journal.h"
 #include "store/log_store.h"
 #include "txn/checkpoint.h"
 
@@ -83,9 +85,7 @@ bool AuditStateAgainstPrefix(TxnManager* restarted,
         it != expected.ops.end()) {
       ops = it->second;
     }
-    Journal per_object({Journal::CommitRecord{1, std::move(ops)}});
-    const std::unique_ptr<SpecState> want =
-        RecoverState(obj->adt(), per_object);
+    const std::unique_ptr<SpecState> want = RecoverState(obj->adt(), ops);
     if (!obj->CommittedState()->Equals(*want)) return false;
   }
   return true;
@@ -133,6 +133,15 @@ Status MirrorApply(TxnManager* replica, const Journal::Entry& entry,
   return Status::OK();
 }
 
+// Journals `manager`'s lifecycle events and its registered objects'
+// commits to `journal`.
+void AttachJournal(TxnManager* manager, Journal* journal) {
+  manager->set_lifecycle_journal(journal);
+  for (AtomicObject* obj : manager->objects()) {
+    obj->recovery().set_journal(journal);
+  }
+}
+
 // Temp directory for one scenario's segmented journal + checkpoints.
 // Removed (with contents) on destruction.
 class ScopedTempDir {
@@ -156,11 +165,13 @@ class ScopedTempDir {
   std::string path_;
 };
 
-// Post-run crash audit shared by the driver and serving scenarios: cut the
-// image at `crash_fraction`, compute the acked ground truth from the sync
-// offsets, restart a freshly built system from the surviving bytes, and
-// run audits 1-4 into `result`.
-void AuditCrashImage(const SystemFactory& factory, const Journal& journal,
+// Post-run crash audit shared by the driver and serving scenarios: decode
+// the drained image as the run's full sequence and check it against the
+// live pre-crash manager `run`, cut the image at `crash_fraction`, compute
+// the acked ground truth from the sync offsets, restart a freshly built
+// system from the surviving bytes, and run audits 1-4 into `result`.
+void AuditCrashImage(const SystemFactory& factory, TxnManager* run,
+                     const GroupCommitPipeline& pipeline,
                      const JournalWriter& writer, const std::string& image,
                      double crash_fraction, CrashScenarioResult* result);
 
@@ -182,30 +193,49 @@ CrashScenarioResult RunCrashScenario(const SystemFactory& factory,
   Journal journal;
   journal.set_pipeline(&pipeline);
   manager.set_commit_pipeline(&pipeline);
-  manager.set_lifecycle_journal(&journal);
-  for (AtomicObject* obj : manager.objects()) {
-    obj->recovery().set_journal(&journal);
-  }
+  AttachJournal(&manager, &journal);
   RunWorkload(&manager, body, options.driver);
   // Flush everything sequenced before inspecting the disk — the flusher
   // may still hold a lingering batch (and under kRelaxed, acknowledged
   // but not yet durable records).
   pipeline.Drain();
 
-  AuditCrashImage(factory, journal, writer, sink.image(),
+  AuditCrashImage(factory, &manager, pipeline, writer, sink.image(),
                   options.crash_fraction, &result);
   return result;
 }
 
 namespace {
 
-void AuditCrashImage(const SystemFactory& factory, const Journal& journal,
+void AuditCrashImage(const SystemFactory& factory, TxnManager* run,
+                     const GroupCommitPipeline& pipeline,
                      const JournalWriter& writer, const std::string& image,
                      double crash_fraction, CrashScenarioResult* res) {
   CrashScenarioResult& result = *res;
   result.image_bytes = image.size();
-  result.records_total = journal.size();
   result.syncs_total = writer.sync_offsets().size();
+
+  // The run's full sequence is what it left on its disk: the drained image,
+  // decoded. It must decode cleanly, hold every entry the pipeline
+  // sequenced, and reproduce every state the live run reached — so every
+  // commit the run acked is in it.
+  RecoveryReport full_report;
+  StatusOr<DecodedJournal> decoded = ScanJournalImage(image, &full_report);
+  if (!decoded.ok() || full_report.corrupt_tail ||
+      decoded->entries.size() != pipeline.stats().records_sequenced) {
+    result.status = Status::Internal(
+        "the drained journal image does not decode to every sequenced "
+        "record");
+    return;
+  }
+  const std::vector<Journal::Entry>& full = decoded->entries;
+  result.records_total = full.size();
+  if (!AuditStateAgainstPrefix(run, full)) {
+    result.status = Status::Internal(
+        "the drained journal image does not reproduce the live run's "
+        "committed state");
+    return;
+  }
 
   // The crash: everything volatile dies; only the first crash_offset bytes
   // of the disk survive.
@@ -242,10 +272,9 @@ void AuditCrashImage(const SystemFactory& factory, const Journal& journal,
 
   // Audit 1: the scanned entries (commit + lifecycle) are a prefix of the
   // run's journaled sequence.
-  StatusOr<Journal> scanned = ScanJournalImage(crashed, nullptr);
+  StatusOr<DecodedJournal> scanned = ScanJournalImage(crashed, nullptr);
   CCR_CHECK(scanned.ok());  // RestartFromImage just accepted this image
-  const std::vector<Journal::Entry> prefix = scanned->Entries();
-  const std::vector<Journal::Entry> full = journal.Entries();
+  const std::vector<Journal::Entry>& prefix = scanned->entries;
   result.prefix_of_commit_order = prefix.size() <= full.size();
   for (size_t i = 0; result.prefix_of_commit_order && i < prefix.size();
        ++i) {
@@ -305,12 +334,12 @@ ServeCrashResult RunServeCrashScenario(const SystemFactory& factory,
   Journal journal;
   journal.set_pipeline(&pipeline);
   manager.set_commit_pipeline(&pipeline);
-  manager.set_lifecycle_journal(&journal);
-  for (AtomicObject* obj : manager.objects()) {
-    obj->recovery().set_journal(&journal);
-  }
+  AttachJournal(&manager, &journal);
 
-  std::atomic<uint64_t> completed_ops{0};
+  // The client-side ledger: every op an OK ack delivered, with the value
+  // the ack returned for it.
+  std::mutex ledger_mu;
+  std::multiset<std::string> ledger;
   {
     ServeFrontend frontend(&manager, options.frontend);
     // Unpaced burst from several submitter threads: the queue genuinely
@@ -325,12 +354,18 @@ ServeCrashResult RunServeCrashScenario(const SystemFactory& factory,
         for (;;) {
           const size_t i = next.fetch_add(1, std::memory_order_relaxed);
           if (i >= options.requests) break;
+          std::vector<BatchOp> request = make_request(i, &rng);
+          std::vector<Invocation> invs;
+          for (const BatchOp& op : request) invs.push_back(op.inv);
           const Status admitted = frontend.SubmitAsync(
-              make_request(i, &rng),
-              [&completed_ops](const Status& s, std::vector<Value> values) {
-                if (s.ok()) {
-                  completed_ops.fetch_add(values.size(),
-                                          std::memory_order_relaxed);
+              std::move(request),
+              [&ledger_mu, &ledger, invs = std::move(invs)](
+                  const Status& s, std::vector<Value> values) {
+                if (!s.ok()) return;
+                std::lock_guard<std::mutex> lock(ledger_mu);
+                for (size_t j = 0; j < std::min(invs.size(), values.size());
+                     ++j) {
+                  ledger.insert(Operation(invs[j], values[j]).ToString());
                 }
               });
           if (!admitted.ok()) {
@@ -357,17 +392,22 @@ ServeCrashResult RunServeCrashScenario(const SystemFactory& factory,
     // pipeline below drains and the "disk" is inspected.
   }
   pipeline.Drain();
-  result.completed_ops = completed_ops.load();
+  result.completed_ops = ledger.size();
 
-  // Conservation at the journal: every op the journal holds belongs to
-  // exactly one OK-acked submission and vice versa — shed and failed
-  // submissions left no trace, acked ones left exactly their ops.
-  for (const Journal::Entry& entry : journal.Entries()) {
-    if (!entry.is_lifecycle) result.journal_ops += entry.commit.ops.size();
+  // Conservation: the ops the drained image holds are, as a multiset, the
+  // client ledger — shed and failed submissions left no trace, acked ones
+  // exactly their ops with the values their acks returned.
+  std::multiset<std::string> journaled;
+  if (StatusOr<DecodedJournal> full = ScanJournalImage(sink.image(), nullptr);
+      full.ok()) {
+    full->ForEachRecord([&journaled](const Journal::CommitRecord& record) {
+      for (const Operation& op : record.ops) journaled.insert(op.ToString());
+    });
   }
-  result.ops_conserved = result.journal_ops == result.completed_ops;
+  result.journal_ops = journaled.size();
+  result.ops_conserved = journaled == ledger;
 
-  AuditCrashImage(factory, journal, writer, sink.image(),
+  AuditCrashImage(factory, &manager, pipeline, writer, sink.image(),
                   options.crash_fraction, &result.crash);
 
   // Submissions in flight at the crash instant: records any part of which
@@ -386,22 +426,22 @@ StoreCrashResult RunStoreCrashScenario(const SystemFactory& factory,
                                        const StoreCrashOptions& options) {
   StoreCrashResult result;
 
-  // Phase 1 — ground truth. The workload runs against a volatile journal;
-  // its in-memory record sequence is the commit order the durable replay
-  // below will feed through the segmented sink. (The group-commit pipeline
-  // aborts the process on writer errors by design, so the crash-injected
-  // sink cannot sit behind a live workload; feeding the recorded sequence
-  // through the sink directly gives the harness record-exact control over
-  // what the "disk" received.)
-  TxnManager workload_manager;
-  factory(&workload_manager);
-  Journal journal;
-  workload_manager.set_lifecycle_journal(&journal);
-  for (AtomicObject* obj : workload_manager.objects()) {
-    obj->recovery().set_journal(&journal);
+  // Phase 1 — ground truth. The workload journals through a kSync pipeline
+  // onto an in-memory disk; that image, decoded, is the commit order the
+  // durable replay below will feed through the segmented sink. (The
+  // group-commit pipeline aborts the process on writer errors by design,
+  // so the crash-injected sink cannot sit behind a live workload; feeding
+  // the recorded sequence through the sink directly gives the harness
+  // record-exact control over what the "disk" received.)
+  std::vector<Journal::Entry> entries;
+  {
+    MemoryJournal recorded;
+    TxnManager workload_manager;
+    factory(&workload_manager);
+    AttachJournal(&workload_manager, &recorded.journal);
+    RunWorkload(&workload_manager, body, options.driver);
+    entries = recorded.Decode().entries;
   }
-  RunWorkload(&workload_manager, body, options.driver);
-  const std::vector<Journal::Entry> entries = journal.Entries();
   result.records_total = entries.size();
 
   // Phase 2 — the durable run. The journal sink and the log-structured

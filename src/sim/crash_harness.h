@@ -4,16 +4,25 @@
 // with a durable journal, kill the "machine" at an arbitrary byte offset
 // of the on-disk image (losing all volatile state), recover a freshly
 // built system from the surviving bytes, and audit the result against the
-// commit order the run actually produced:
+// commit order the run actually produced.
 //
-//   1. the scanned records must be a prefix of the run's commit order
-//      (per object — each object's records appear in its commit order);
+// Ground truth is what the run acked, read from outside the engine — the
+// engine's Journal keeps no records. The run's full commit order is the
+// drained pre-crash image, decoded; it must decode cleanly, hold exactly
+// the entries the pipeline sequenced, and reproduce the live pre-crash
+// manager's every committed state (spec-level replay), so every acked
+// commit is in it. Against that sequence:
+//
+//   1. the records scanned from the cut image must be a prefix of the
+//      full sequence (reads both decoded images);
 //   2. every recovered object's committed state must equal an independent
-//      spec-level replay of that prefix (RecoverState, not the engine);
+//      spec-level replay of that prefix (RecoverState, not the engine;
+//      reads the cut image);
 //   3. the ack-durability contract: every commit record covered by a
 //      completed sync at or below the crash offset — i.e. every
 //      transaction whose commit could have been *acknowledged* before the
-//      crash — is recovered. Unacknowledged records may go either way but
+//      crash — is recovered (reads the writer's sync offsets, the points
+//      the acks waited for). Unacknowledged records may go either way but
 //      must still recover to a clean prefix (audits 1 and 2).
 //
 // The run journals through a GroupCommitPipeline in any DurabilityMode
@@ -72,8 +81,8 @@ struct CrashScenarioResult {
 
   // Audit (4), batch atomicity: a multi-object commit record (ExecuteBatch
   // transactions touching >1 object) must be all-or-nothing across its
-  // objects after restart. Measured per record against each named object's
-  // recovered last_committed_lsn: `partial` counts records some but not
+  // objects after restart. Measured per record of the full decoded image
+  // against each named object's recovered last_committed_lsn: `partial` counts records some but not
   // all of whose objects reflect them — must be 0 at every crash offset.
   // (Meaningful for workloads without lifecycle churn of the batch ids; an
   // incarnation reset rewinds last_committed_lsn.)
@@ -102,9 +111,11 @@ CrashScenarioResult RunCrashScenario(const SystemFactory& factory,
 //
 //   1-4. the RunCrashScenario audits (prefix, state, acked-recovered,
 //        batch atomicity) over the coalesced commit records;
-//   5.   conservation: the journal's op count equals the ops delivered
-//        with OK acks — shed and failed submissions left no trace, acked
-//        ones exactly their ops;
+//   5.   conservation against a client-side ledger: submitters record
+//        every op an OK ack delivered, with its returned value, and the
+//        multiset of ops in the drained image must equal that ledger —
+//        shed and failed submissions left no trace, acked ones exactly
+//        their ops;
 //   6.   the cut actually interrupted serving (inflight_at_crash > 0 for
 //        any mid-run fraction): unacked records lay past the cut.
 // ---------------------------------------------------------------------------
@@ -127,7 +138,7 @@ struct ServeCrashResult {
   uint64_t completed_error = 0;
   uint64_t max_queue_depth = 0;
   uint64_t coalesced_txns = 0;
-  // Audit 5: ops journaled vs ops delivered with OK acks.
+  // Audit 5: ops in the drained image vs ops in the client ledger.
   uint64_t journal_ops = 0;
   uint64_t completed_ops = 0;
   bool ops_conserved = false;
@@ -149,8 +160,9 @@ ServeCrashResult RunServeCrashScenario(const SystemFactory& factory,
 
 // ---------------------------------------------------------------------------
 // Maintenance-path crash scenario: the checkpoint/segment/store counterpart
-// of RunCrashScenario. A workload first runs against a volatile journal to
-// fix the ground-truth commit-record sequence; the harness then replays
+// of RunCrashScenario. A workload first runs through a kSync pipeline over
+// a MemorySink (sim/memory_journal.h); that image, decoded, is the
+// ground-truth commit-record sequence. The harness then replays
 // that sequence through a SegmentedFileSink (one append + sync per record
 // — the per-record ack point) into a temp directory, mirror-applying each
 // acknowledged record into a live replica manager with a
@@ -170,9 +182,9 @@ ServeCrashResult RunServeCrashScenario(const SystemFactory& factory,
 // store over the surviving segments, restarts through RestartFromDir, and
 // is audited:
 //
-//   1. recovery lands on exactly the appended prefix — the (checkpoint,
-//      tail) pair on disk is consistent at every crash point, and in
-//      particular 0 acked records are lost;
+//   1. recovery lands on exactly the appended prefix of the ground truth —
+//      the (checkpoint, tail) pair on disk is consistent at every crash
+//      point, and in particular 0 acked records are lost;
 //   2. every recovered object's state equals an independent spec-level
 //      replay of that prefix (evicted images, checkpoint batches, and the
 //      journal tail agree).

@@ -8,15 +8,6 @@
 
 namespace ccr {
 
-namespace {
-
-// Slice used only by WakeupMode::kPolling, the baseline the wait-queue
-// bench compares against. The event-driven engine never sleeps on a slice:
-// kills and lock releases are delivered as targeted signals.
-constexpr std::chrono::milliseconds kPollSlice{2};
-
-}  // namespace
-
 AtomicObject::AtomicObject(ObjectId id, std::shared_ptr<const Adt> adt,
                            std::shared_ptr<const ConflictRelation> conflict,
                            std::unique_ptr<RecoveryManager> recovery,
@@ -52,10 +43,6 @@ void AtomicObject::SignalLocked(Waiter* waiter) {
 
 void AtomicObject::WakeOnFinishLocked(TxnId finished) {
   for (Waiter* w : queue_) {
-    if (options_.wakeup == WakeupMode::kPolling) {
-      SignalLocked(w);  // notify storm: everyone re-evaluates
-      continue;
-    }
     // A finished blocker releases its conflicting locks; a view-waiter
     // (empty blockers) may see its partial operation enabled by the
     // committed/undone state.
@@ -69,18 +56,12 @@ void AtomicObject::WakeOnFinishLocked(TxnId finished) {
 
 void AtomicObject::WakeOnViewChangeLocked() {
   for (Waiter* w : queue_) {
-    if (options_.wakeup == WakeupMode::kPolling || w->blockers.empty()) {
-      SignalLocked(w);
-    }
+    if (w->blockers.empty()) SignalLocked(w);
   }
 }
 
 void AtomicObject::WakeKilled(TxnId txn) {
   std::lock_guard<std::mutex> lock(mu_);
-  // The polling baseline reproduces the old engine's kill path: the victim
-  // observes its kill flag at the next slice wakeup (<= kPollSlice away),
-  // never through a direct signal.
-  if (options_.wakeup == WakeupMode::kPolling) return;
   for (Waiter* w : queue_) {
     if (w->txn == txn) {
       ++stats_.kill_wakeups;
@@ -240,11 +221,7 @@ StatusOr<Value> AtomicObject::ExecuteLoop(Transaction* txn,
           id_.c_str(), inv.ToString().c_str()));
     }
     if (!waiter.signaled && !txn->killed()) {
-      if (options_.wakeup == WakeupMode::kPolling) {
-        waiter.cv.wait_until(lk, std::min(deadline, now + kPollSlice));
-      } else {
-        waiter.cv.wait_until(lk, deadline);
-      }
+      waiter.cv.wait_until(lk, deadline);
       if (!waiter.signaled && !txn->killed() &&
           std::chrono::steady_clock::now() < deadline) {
         ++stats_.spurious_wakeups;

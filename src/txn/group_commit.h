@@ -129,9 +129,6 @@ class GroupCommitPipeline {
   // (Journal::AppendCommit/AppendLifecycle forward), which is what makes
   // the LSN order equal the journal's entry order.
   Lsn Sequence(Journal::Entry entry);
-  Lsn Sequence(Journal::CommitRecord record) {
-    return Sequence(Journal::Entry::Commit(record.txn, std::move(record.ops)));
-  }
 
   // Blocks until `lsn` is durable (kGroup). Returns immediately in kSync
   // (already durable) and kRelaxed (ack is explicitly non-durable). No-op

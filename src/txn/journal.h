@@ -20,12 +20,13 @@
 // i.e., the abort-recovery theory is what makes this crash recovery
 // correct, which is the interaction the paper is about.
 //
-// The in-memory record vector is the volatile view (it dies with the
-// process in a simulated crash); attaching a GroupCommitPipeline makes the
-// journal durable: every record is sequenced through it onto a JournalWriter
-// in the checksummed frame format of journal_format.h, and crash recovery
-// scans that image back (TxnManager::RestartFromImage for one image,
-// TxnManager::RestartFromDir for a segmented directory).
+// The Journal itself is only the LSN sequencer: it keeps no records. A
+// GroupCommitPipeline attached to it makes it durable — every record is
+// sequenced through the pipeline onto a JournalWriter in the checksummed
+// frame format of journal_format.h, and crash recovery scans that image
+// back (TxnManager::RestartFromImage for one image,
+// TxnManager::RestartFromDir for a segmented directory). A scanned image
+// is a DecodedJournal: a plain value, separate from the live sequencer.
 
 #ifndef CCR_TXN_JOURNAL_H_
 #define CCR_TXN_JOURNAL_H_
@@ -91,60 +92,30 @@ class Journal {
     }
   };
 
-  Journal() = default;
-
-  // A journal holding the given commit records (used by tests that
-  // construct crash images directly).
-  explicit Journal(std::vector<CommitRecord> records) {
-    entries_.reserve(records.size());
-    for (CommitRecord& r : records) entries_.push_back(Entry::Commit(r.txn, std::move(r.ops)));
-  }
-
-  // A journal holding the given entries (used by Prefix and ScanJournalImage).
-  explicit Journal(std::vector<Entry> entries) : entries_(std::move(entries)) {}
-
-  // Movable so StatusOr<Journal> works (ScanJournalImage). The mutex is
-  // not moved — the source must be quiescent, which recovery-time use is.
-  Journal(Journal&& other) noexcept
-      : entries_(std::move(other.entries_)),
-        base_lsn_(other.base_lsn_),
-        pipeline_(other.pipeline_) {}
-  Journal& operator=(Journal&& other) noexcept {
-    entries_ = std::move(other.entries_);
-    base_lsn_ = other.base_lsn_;
-    pipeline_ = other.pipeline_;
-    return *this;
-  }
-
   // Durable mode: every AppendCommit/AppendLifecycle is *sequenced* through
   // `pipeline` under the journal mutex (so the pipeline sees records in
   // commit order). The pipeline's mode decides where the sync happens:
   // kSync frames, appends and fdatasyncs each record inline, before the
   // append returns; kGroup/kRelaxed enqueue it for the background flusher,
   // so the caller's critical section never pays for a sync. Set before
-  // first use; nullptr returns the journal to volatile-only.
+  // first use; with no pipeline attached, appends sequence nothing.
   void set_pipeline(GroupCommitPipeline* pipeline) { pipeline_ = pipeline; }
 
   // Post-restart continuation: the LSN space continues where the durable
   // journal left off, so a recovered system's new records never collide
   // with checkpointed per-object LSNs. The next AppendCommit returns
-  // base + 1. Must be called before any append (records must be empty);
-  // the attached pipeline's first_lsn must be set to base + 1 to match.
+  // base + 1. Must be called before any append; the attached pipeline's
+  // first_lsn must be set to base + 1 to match.
   void set_base_lsn(Lsn base);
 
-  // Highest LSN assigned so far (base + in-memory record count) — the
+  // Highest LSN assigned so far (base + sequenced entry count) — the
   // anchor a fuzzy checkpoint captures before walking objects.
   Lsn high_lsn() const;
 
-  // The LSN the record space starts after: the first record carries
-  // base_lsn() + 1. Zero unless set_base_lsn was called.
-  Lsn base_lsn() const;
-
-  // Appends one atomic commit record and returns its LSN (kNoLsn when the
-  // journal is volatile-only — no pipeline attached; the in-memory record
-  // is still kept). The record is durable only once the pipeline's
-  // watermark reaches the returned LSN; the transaction's ack must wait for
-  // it (TxnManager::Commit does).
+  // Appends one atomic commit record and returns its LSN (kNoLsn, and
+  // nothing kept, when no pipeline is attached). The record is durable
+  // only once the pipeline's watermark reaches the returned LSN; the
+  // transaction's ack must wait for it (TxnManager::Commit does).
   Lsn AppendCommit(TxnId txn, OpSeq ops);
 
   // Appends one object-lifecycle record (create/drop). Same durability
@@ -152,49 +123,37 @@ class Journal {
   // pipeline watermark covers it.
   Lsn AppendLifecycle(LifecycleRecord record);
 
-  // All commit records, in commit order, lifecycle records elided.
-  // Deep-copies; prefer ForEachRecord on hot or O(n²)-prone paths
-  // (crash-at-every-prefix audits).
-  std::vector<CommitRecord> Records() const;
-
-  // All entries (commit + lifecycle) in LSN order. Deep-copies.
-  std::vector<Entry> Entries() const;
-
-  // Visits every commit record in commit order without copying, skipping
-  // lifecycle records. The journal mutex is held for the whole visitation:
-  // `fn` must not reenter this journal or block on anything that appends
-  // to it.
-  void ForEachRecord(const std::function<void(const CommitRecord&)>& fn) const;
-
-  // Visits every entry (commit + lifecycle) with its LSN, in LSN order,
-  // without copying. Same reentrancy caveat as ForEachRecord.
-  void ForEachEntry(const std::function<void(Lsn, const Entry&)>& fn) const;
-
-  // Entry count (commit + lifecycle records).
-  size_t size() const;
-
-  // The journal as it would be found after a crash that happened when only
-  // the first `n` entries had reached the disk.
-  Journal Prefix(size_t n) const;
-
  private:
   // Shared append path; assigns the LSN and sequences through the
   // pipeline, if any.
   Lsn AppendEntry(Entry entry);
 
   mutable std::mutex mu_;
-  std::vector<Entry> entries_;
   Lsn base_lsn_ = 0;
+  uint64_t sequenced_ = 0;  // entries handed to the pipeline
   GroupCommitPipeline* pipeline_ = nullptr;
 };
 
-// Crash recovery: rebuilds the committed state of an object by replaying
-// the journal's commit records in order from the ADT's initial state.
-// Fatal (CCR_CHECK) if a record fails to replay — that would mean the
-// journal was written under a conflict relation too weak for its recovery
-// method.
+// A journal image decoded into memory (ScanJournalImage): its entries in
+// LSN order. A value — it is what a run left on its disk, read back, and
+// nothing appends to it.
+struct DecodedJournal {
+  std::vector<Journal::Entry> entries;
+
+  // Visits every commit record in commit order, skipping lifecycle
+  // records.
+  void ForEachRecord(
+      const std::function<void(const Journal::CommitRecord&)>& fn) const;
+};
+
+// Crash recovery, spec level: rebuilds the committed state of an object by
+// replaying `ops` (or every commit record of `image`) in order from the
+// ADT's initial state. Fatal (CCR_CHECK) if an operation fails to replay —
+// that would mean the journal was written under a conflict relation too
+// weak for its recovery method.
+std::unique_ptr<SpecState> RecoverState(const Adt& adt, const OpSeq& ops);
 std::unique_ptr<SpecState> RecoverState(const Adt& adt,
-                                        const Journal& journal);
+                                        const DecodedJournal& image);
 
 }  // namespace ccr
 

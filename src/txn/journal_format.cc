@@ -233,30 +233,17 @@ Status ForEachJournalEntry(
   return Status::OK();
 }
 
-Status ForEachJournalRecord(
-    std::string_view image,
-    const std::function<Status(Journal::CommitRecord&&)>& fn,
-    RecoveryReport* report) {
-  return ForEachJournalEntry(
-      image,
-      [&fn](Journal::Entry&& entry) {
-        if (entry.is_lifecycle) return Status::OK();
-        return fn(std::move(entry.commit));
-      },
-      report);
-}
-
-StatusOr<Journal> ScanJournalImage(std::string_view image,
-                                   RecoveryReport* report) {
-  std::vector<Journal::Entry> entries;
+StatusOr<DecodedJournal> ScanJournalImage(std::string_view image,
+                                          RecoveryReport* report) {
+  DecodedJournal decoded;
   CCR_RETURN_IF_ERROR(ForEachJournalEntry(
       image,
-      [&entries](Journal::Entry&& entry) {
-        entries.push_back(std::move(entry));
+      [&decoded](Journal::Entry&& entry) {
+        decoded.entries.push_back(std::move(entry));
         return Status::OK();
       },
       report));
-  return Journal(std::move(entries));
+  return decoded;
 }
 
 }  // namespace ccr

@@ -114,22 +114,13 @@ Status ForEachJournalEntry(
     const std::function<Status(Journal::Entry&&)>& fn,
     RecoveryReport* report);
 
-// Commit-records-only view of ForEachJournalEntry: lifecycle entries are
-// skipped (they still count toward the report's records_replayed — they
-// occupy LSN slots).
-Status ForEachJournalRecord(
-    std::string_view image,
-    const std::function<Status(Journal::CommitRecord&&)>& fn,
-    RecoveryReport* report);
-
 // Scans a journal image as found after a crash and returns the valid
-// prefix as an in-memory Journal, applying the torn-tail truncation rule
-// above. `report` (optional) receives what happened. Mid-journal
-// corruption — an intact record after a damaged one — returns kInternal.
-// (Materializes every record; prefer ForEachJournalRecord on restart
-// paths.)
-StatusOr<Journal> ScanJournalImage(std::string_view image,
-                                   RecoveryReport* report);
+// prefix decoded, applying the torn-tail truncation rule above. `report`
+// (optional) receives what happened. Mid-journal corruption — an intact
+// record after a damaged one — returns kInternal. (Materializes every
+// record; restart paths stream with ForEachJournalEntry.)
+StatusOr<DecodedJournal> ScanJournalImage(std::string_view image,
+                                          RecoveryReport* report);
 
 }  // namespace ccr
 

@@ -202,17 +202,13 @@ JournalWriter::JournalWriter(ByteSink* sink, FaultInjector fault)
 }
 
 Status JournalWriter::Append(const Journal::CommitRecord& record) {
-  CCR_RETURN_IF_ERROR(AppendNoSync(record));
+  CCR_RETURN_IF_ERROR(AppendEncoded(EncodeCommitRecord(record)));
   return Sync();
 }
 
 Status JournalWriter::Append(const Journal::Entry& entry) {
   CCR_RETURN_IF_ERROR(AppendNoSync(entry));
   return Sync();
-}
-
-Status JournalWriter::AppendNoSync(const Journal::CommitRecord& record) {
-  return AppendEncoded(EncodeCommitRecord(record));
 }
 
 Status JournalWriter::AppendNoSync(const Journal::Entry& entry) {
@@ -231,8 +227,7 @@ Status JournalWriter::AppendEncoded(const std::string& encoded) {
   }
   // Partial admit: the injected crash interrupted (or preceded) this
   // write; the caller's simulated process is gone, so there is nothing to
-  // report upward — the in-memory journal keeps the record, the disk never
-  // sees it.
+  // report upward — the disk never sees the record.
   return Status::OK();
 }
 

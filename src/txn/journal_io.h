@@ -2,10 +2,9 @@
 //
 // The byte-level side of the durable journal: a sink abstraction over the
 // "disk" (in-memory image for tests and fault sweeps, a real append-only
-// file for deployments), a JournalWriter that frames commit records through
-// an optional FaultInjector, and a JournalReader that scans a crash image
-// back into an in-memory Journal under the torn-tail truncation rule of
-// journal_format.h.
+// file for deployments) and a JournalWriter that frames commit records
+// through an optional FaultInjector. ScanJournalImage (journal_format.h)
+// reads a crash image back under the torn-tail truncation rule.
 //
 // Fault injection happens at the writer/sink boundary, which is exactly
 // where real crashes land: a crash at a record boundary loses whole
@@ -332,14 +331,13 @@ class JournalWriter {
   // commit is acknowledged. (The per-record-sync baseline path.)
   Status Append(const Journal::CommitRecord& record);
 
+  // Entry variant: one journal entry (commit or lifecycle record) per
+  // frame, same fault-injection and boundary accounting.
+  Status Append(const Journal::Entry& entry);
+
   // Appends without syncing — the group-commit path. The record is NOT
   // durable until the next Sync() returns; the pipeline advances its
   // durable watermark (and acknowledges committers) only after that sync.
-  Status AppendNoSync(const Journal::CommitRecord& record);
-
-  // Entry variants: one journal entry (commit or lifecycle record) per
-  // frame, same fault-injection and boundary accounting.
-  Status Append(const Journal::Entry& entry);
   Status AppendNoSync(const Journal::Entry& entry);
 
   // Durability barrier for everything appended so far. Records the synced
@@ -376,21 +374,6 @@ class JournalWriter {
   uint64_t bytes_written_ = 0;
   std::vector<uint64_t> boundaries_{0};
   std::vector<uint64_t> sync_offsets_;
-};
-
-// Scans a crash image back into an in-memory Journal (see
-// ScanJournalImage for the truncation rule and the mid-journal-corruption
-// error contract).
-class JournalReader {
- public:
-  explicit JournalReader(std::string_view image) : image_(image) {}
-
-  StatusOr<Journal> Scan(RecoveryReport* report) const {
-    return ScanJournalImage(image_, report);
-  }
-
- private:
-  std::string_view image_;
 };
 
 }  // namespace ccr

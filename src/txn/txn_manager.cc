@@ -25,7 +25,6 @@ std::unique_ptr<AtomicObject> TxnManager::BuildObject(ObjectId id,
   AtomicObjectOptions obj_options;
   obj_options.lock_timeout = options_.lock_timeout;
   obj_options.policy = options_.policy;
-  obj_options.wakeup = options_.wakeup;
   auto object = std::make_unique<AtomicObject>(
       std::move(id), std::move(config.adt), std::move(config.conflict),
       std::move(config.recovery), obj_options);
@@ -242,8 +241,12 @@ Status TxnManager::EvictObject(const ObjectId& id) {
     std::lock_guard<std::mutex> lock(store_mu_);
     // A drop that raced the ticket has already retired the object and
     // Deletes its key under this same mutex — skip the Put rather than
-    // resurrect the key.
-    if (directory_.Find(id) == nullptr) return Status::OK();
+    // resurrect the key. An eviction that raced it has already written
+    // the current image and flipped the object under this mutex; the
+    // object stays frozen while evicted, so this ticket's image can only
+    // be older, and Putting it would hand the next fault-in a lost update
+    // (with a volatile journal its LSN even matches).
+    if (directory_.Find(id) == nullptr || obj->evicted()) return Status::OK();
     StoreWriteBatch batch;
     batch.Put(StoreObjectKey(id),
               EncodeStoreObjectValue(ticket->lsn, obj->factory_name(),
@@ -605,6 +608,19 @@ Status TxnManager::ReplayJournal(const EntryScan& scan,
           }
           return Status::OK();
         };
+        // One thread streams: the buckets drain after every entry. A
+        // registered object absent from a non-empty image may have been
+        // dropped before the checkpoint walk; then its tail records up to
+        // the drop are a partial history that only the drop's purge keeps
+        // from replaying, and streaming would apply them before the drop
+        // is seen. Such a restart holds every bucket to the end of the
+        // scan, as the fanned-out replay does.
+        bool streamed = options.replay_threads <= 1;
+        if (streamed && !image.objects.empty()) {
+          for (AtomicObject* obj : objects()) {
+            if (ckpt_lsn.count(obj->id()) == 0) streamed = false;
+          }
+        }
         const auto drain = [&]() -> Status {
           for (auto& [obj, bucket] : buckets) {
             CCR_RETURN_IF_ERROR(replay_bucket(obj, bucket));
@@ -613,7 +629,6 @@ Status TxnManager::ReplayJournal(const EntryScan& scan,
           bucket_index.clear();
           return Status::OK();
         };
-        const bool streamed = options.replay_threads <= 1;
 
         // Ops naming an id that is neither registered, image-installed,
         // nor tail-created: legal only when a later `drop` record shows

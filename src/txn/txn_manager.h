@@ -45,7 +45,6 @@ struct TxnManagerOptions {
   // oracle that validates every append (see history_recorder.h).
   RecorderMode recorder_mode = RecorderMode::kSharded;
   DeadlockPolicy policy = DeadlockPolicy::kDetect;
-  WakeupMode wakeup = WakeupMode::kEventDriven;
   std::chrono::milliseconds lock_timeout{500};
   int max_retries = 1000;
   // Stripes of the object directory (power of two; 0 picks a default from

@@ -20,6 +20,7 @@
 #include "adt/counter.h"
 #include "common/random.h"
 #include "sim/crash_harness.h"
+#include "sim/memory_journal.h"
 #include "txn/du_recovery.h"
 #include "txn/group_commit.h"
 #include "txn/journal_io.h"
@@ -138,13 +139,9 @@ TEST_P(BatchTest, LazyCreateAndUnknownObject) {
 TEST_P(BatchTest, OneMultiObjectCommitRecord) {
   TxnManager manager;
   auto counters = AddCounters(&manager, GetParam(), 3);
-  MemorySink sink;
-  JournalWriter writer(&sink);
-  GroupCommitPipeline pipeline(&writer, {.mode = DurabilityMode::kSync});
-  Journal journal;
-  journal.set_pipeline(&pipeline);  // durable: appends assign real LSNs
+  MemoryJournal journal;  // durable: appends assign real LSNs
   for (AtomicObject* obj : manager.objects()) {
-    obj->recovery().set_journal(&journal);
+    obj->recovery().set_journal(&journal.journal);
   }
 
   auto batch_txn = manager.Begin();
@@ -153,8 +150,8 @@ TEST_P(BatchTest, OneMultiObjectCommitRecord) {
                                     Op(counters[2]->IncInv(3))};
   ASSERT_TRUE(manager.ExecuteBatch(batch_txn.get(), ops).ok());
   ASSERT_TRUE(manager.Commit(batch_txn.get()).ok());
-  ASSERT_EQ(journal.size(), 1u);
-  const std::vector<Journal::Entry> entries = journal.Entries();
+  const std::vector<Journal::Entry> entries = journal.Decode().entries;
+  ASSERT_EQ(entries.size(), 1u);
   ASSERT_FALSE(entries[0].is_lifecycle);
   EXPECT_EQ(entries[0].commit.txn, batch_txn->id());
   std::set<ObjectId> named;
@@ -172,7 +169,7 @@ TEST_P(BatchTest, OneMultiObjectCommitRecord) {
     ASSERT_TRUE(manager.Execute(loose_txn.get(), op.inv).ok());
   }
   ASSERT_TRUE(manager.Commit(loose_txn.get()).ok());
-  EXPECT_EQ(journal.size(), 4u);
+  EXPECT_EQ(journal.Decode().entries.size(), 4u);
 }
 
 // The multi-object record replays atomically through the streamed
@@ -199,7 +196,7 @@ TEST_P(BatchTest, MultiObjectRecordReplaysThroughRestart) {
       ASSERT_TRUE(manager.ExecuteBatch(txn.get(), ops).ok());
       ASSERT_TRUE(manager.Commit(txn.get()).ok());
     }
-    ASSERT_EQ(journal.size(), 4u);
+    ASSERT_EQ(journal.high_lsn(), 4u);
   }
   TxnManager restarted;
   AddCounters(&restarted, method, 3);
@@ -417,10 +414,10 @@ TEST_P(BatchTest, MidBatchFailureReleasesLocksAndJournalsNothing) {
   options.lock_timeout = std::chrono::milliseconds(50);
   TxnManager manager(options);
   auto counters = AddCounters(&manager, GetParam(), 3);
-  Journal journal;
-  manager.set_lifecycle_journal(&journal);
+  MemoryJournal journal;
+  manager.set_lifecycle_journal(&journal.journal);
   for (AtomicObject* obj : manager.objects()) {
-    obj->recovery().set_journal(&journal);
+    obj->recovery().set_journal(&journal.journal);
   }
   // Seed C0 so the failed batch's inc would be visible if it leaked.
   {
@@ -429,7 +426,7 @@ TEST_P(BatchTest, MidBatchFailureReleasesLocksAndJournalsNothing) {
     ASSERT_TRUE(manager.ExecuteBatch(txn.get(), seed).ok());
     ASSERT_TRUE(manager.Commit(txn.get()).ok());
   }
-  const size_t records_before = journal.size();
+  const size_t records_before = journal.Decode().entries.size();
 
   // The blocker holds a read outcome on C2; an inc does not commute with
   // it, so the batch's C2 group waits until the lock timeout.
@@ -445,10 +442,10 @@ TEST_P(BatchTest, MidBatchFailureReleasesLocksAndJournalsNothing) {
   // groups' work must be confined to the transaction.
   StatusOr<std::vector<Value>> results = manager.ExecuteBatch(txn.get(), ops);
   ASSERT_FALSE(results.ok()) << "conflicting batch unexpectedly succeeded";
-  EXPECT_EQ(journal.size(), records_before)
+  EXPECT_EQ(journal.Decode().entries.size(), records_before)
       << "failed batch journaled a (partial) commit record";
   ASSERT_TRUE(manager.Abort(txn.get()).ok());
-  EXPECT_EQ(journal.size(), records_before);
+  EXPECT_EQ(journal.Decode().entries.size(), records_before);
   ASSERT_TRUE(manager.Abort(blocker.get()).ok());
 
   // Committed states never saw the failed batch.
@@ -462,7 +459,7 @@ TEST_P(BatchTest, MidBatchFailureReleasesLocksAndJournalsNothing) {
   results = manager.ExecuteBatch(retry.get(), ops);
   ASSERT_TRUE(results.ok()) << results.status().ToString();
   ASSERT_TRUE(manager.Commit(retry.get()).ok());
-  EXPECT_EQ(journal.size(), records_before + 1);
+  EXPECT_EQ(journal.Decode().entries.size(), records_before + 1);
   EXPECT_EQ(CounterValue(manager.object("C0")), 11);
   EXPECT_EQ(CounterValue(manager.object("C1")), 2);
   EXPECT_EQ(CounterValue(manager.object("C2")), 3);

@@ -32,6 +32,7 @@
 #include "adt/state_codec.h"
 #include "common/random.h"
 #include "sim/crash_harness.h"
+#include "sim/memory_journal.h"
 #include "store/log_store.h"
 #include "txn/checkpoint.h"
 #include "txn/du_recovery.h"
@@ -177,9 +178,9 @@ TEST(CheckpointerTest, StoreHoldsTheNewestCheckpointAcrossReopen) {
   TxnManager manager;
   TwoObjectFactory(&manager);
   manager.set_object_store(store.get());
-  Journal journal;
+  MemoryJournal journal;
   for (AtomicObject* obj : manager.objects()) {
-    obj->recovery().set_journal(&journal);
+    obj->recovery().set_journal(&journal.journal);
   }
   auto ba = MakeBankAccount();
   ASSERT_TRUE(manager
@@ -188,13 +189,15 @@ TEST(CheckpointerTest, StoreHoldsTheNewestCheckpointAcrossReopen) {
                   })
                   .ok());
   Checkpointer checkpointer = StoreCheckpointer(dir.path(), store.get());
-  ASSERT_TRUE(checkpointer.Write(&manager, journal.high_lsn()).ok());
+  const Lsn anchor1 = journal.journal.high_lsn();
+  ASSERT_TRUE(checkpointer.Write(&manager, anchor1).ok());
   ASSERT_TRUE(manager
                   .RunTransaction([&](Transaction* txn) {
                     return manager.Execute(txn, ba->WithdrawInv(5)).status();
                   })
                   .ok());
-  const Lsn anchor2 = journal.high_lsn();
+  const Lsn anchor2 = journal.journal.high_lsn();
+  EXPECT_NE(anchor1, anchor2);
   ASSERT_TRUE(checkpointer.Write(&manager, anchor2).ok());
 
   // The newest checkpoint wins, durably: a reopened store reads it back,

@@ -11,6 +11,7 @@
 #include "adt/int_set.h"
 #include "common/random.h"
 #include "sim/crash_harness.h"
+#include "sim/memory_journal.h"
 #include "txn/du_recovery.h"
 #include "txn/group_commit.h"
 #include "txn/journal_format.h"
@@ -165,12 +166,12 @@ TEST_P(CrashRecoveryTest, ChecksumCorruptionSweep) {
 // not journal an empty commit record.
 TEST(EmptyRecordRegressionTest, UipReadFreeCommitJournalsNothing) {
   auto ba = MakeBankAccount();
-  Journal journal;
+  MemoryJournal journal;
   UipRecovery recovery(ba);
-  recovery.set_journal(&journal);
+  recovery.set_journal(&journal.journal);
   recovery.Candidates(1, ba->BalanceInv());
   recovery.Commit(1);
-  EXPECT_EQ(journal.size(), 0u);
+  EXPECT_TRUE(journal.Decode().entries.empty());
 
   // A transaction that does apply an operation still journals one record.
   auto outcomes = recovery.Candidates(2, ba->DepositInv(5));
@@ -178,28 +179,29 @@ TEST(EmptyRecordRegressionTest, UipReadFreeCommitJournalsNothing) {
   recovery.Apply(2, Operation(ba->DepositInv(5), outcomes[0].result),
                  std::move(outcomes[0].next));
   recovery.Commit(2);
-  EXPECT_EQ(journal.size(), 1u);
-  journal.ForEachRecord([](const Journal::CommitRecord& record) {
+  const DecodedJournal image = journal.Decode();
+  EXPECT_EQ(image.entries.size(), 1u);
+  image.ForEachRecord([](const Journal::CommitRecord& record) {
     EXPECT_FALSE(record.ops.empty());
   });
 }
 
 TEST(EmptyRecordRegressionTest, DuCandidatesOnlyCommitJournalsNothing) {
   auto ba = MakeBankAccount();
-  Journal journal;
+  MemoryJournal journal;
   DuRecovery recovery(ba);
-  recovery.set_journal(&journal);
+  recovery.set_journal(&journal.journal);
   // Candidates alone materializes a DU workspace with no intentions.
   recovery.Candidates(1, ba->BalanceInv());
   recovery.Commit(1);
-  EXPECT_EQ(journal.size(), 0u);
+  EXPECT_TRUE(journal.Decode().entries.empty());
 
   auto outcomes = recovery.Candidates(2, ba->DepositInv(5));
   ASSERT_EQ(outcomes.size(), 1u);
   recovery.Apply(2, Operation(ba->DepositInv(5), outcomes[0].result),
                  std::move(outcomes[0].next));
   recovery.Commit(2);
-  EXPECT_EQ(journal.size(), 1u);
+  EXPECT_EQ(journal.Decode().entries.size(), 1u);
 }
 
 TEST_P(CrashRecoveryTest, MultiObjectScriptedRestart) {
@@ -248,7 +250,7 @@ TEST_P(CrashRecoveryTest, MultiObjectScriptedRestart) {
   make_system(&restarted);
   RecoveryReport report;
   ASSERT_TRUE(restarted.RestartFromImage(sink.image(), &report).ok());
-  EXPECT_EQ(report.records_replayed, journal.size());
+  EXPECT_EQ(report.records_replayed, journal.high_lsn());
   for (AtomicObject* obj : restarted.objects()) {
     EXPECT_TRUE(obj->CommittedState()->Equals(
         *manager.object(obj->id())->CommittedState()))
@@ -265,18 +267,19 @@ TEST_P(CrashRecoveryTest, RestartDoesNotReJournalAndIdsAdvance) {
   TxnManager manager;
   AtomicObject* obj = manager.AddObject("BA", ba, MakeConflict(GetParam(), ba),
                                         MakeRecovery(GetParam(), ba));
-  Journal journal;
-  obj->recovery().set_journal(&journal);
+  MemoryJournal journal;
+  obj->recovery().set_journal(&journal.journal);
   RecoveryReport report;
   ASSERT_TRUE(manager.RestartFromImage(run.image, &report).ok());
-  EXPECT_EQ(journal.size(), 0u);
+  EXPECT_TRUE(journal.Decode().entries.empty());
   ASSERT_TRUE(manager
                   .RunTransaction([&](Transaction* txn) {
                     return manager.Execute(txn, ba->DepositInv(1)).status();
                   })
                   .ok());
-  ASSERT_EQ(journal.size(), 1u);
-  journal.ForEachRecord([](const Journal::CommitRecord& record) {
+  const DecodedJournal image = journal.Decode();
+  ASSERT_EQ(image.entries.size(), 1u);
+  image.ForEachRecord([](const Journal::CommitRecord& record) {
     EXPECT_GT(record.txn, TxnId{4});
   });
 }

@@ -30,6 +30,7 @@
 #include "core/commutativity.h"
 #include "core/operation.h"
 #include "sim/crash_harness.h"
+#include "sim/memory_journal.h"
 #include "store/log_store.h"
 #include "txn/checkpoint.h"
 #include "txn/group_commit.h"
@@ -250,10 +251,10 @@ TEST(LifecycleTest, DropUnknownObjectIsNotFound) {
 }
 
 TEST(LifecycleTest, CreateAndDropJournalLifecycleRecords) {
-  Journal journal;
+  MemoryJournal journal;
   TxnManager manager;
   RegisterCounterFactory(&manager);
-  manager.set_lifecycle_journal(&journal);
+  manager.set_lifecycle_journal(&journal.journal);
 
   const StatusOr<AtomicObject*> created =
       manager.GetOrCreate("D", kCounterFactory);
@@ -277,7 +278,7 @@ TEST(LifecycleTest, CreateAndDropJournalLifecycleRecords) {
   ASSERT_TRUE(manager.GetOrCreate("D", kCounterFactory).ok());
   EXPECT_EQ(ReadCounter(&manager, "D"), 0);
 
-  const std::vector<Journal::Entry> entries = journal.Entries();
+  const std::vector<Journal::Entry> entries = journal.Decode().entries;
   // create, inc, read, drop, create, read (each committed read journals
   // its op too under UIP).
   ASSERT_EQ(entries.size(), 6u);
@@ -466,7 +467,7 @@ TEST(DynamicRestartTest, RestartFromImageRecreatesDynamicObjects) {
   RegisterCounterFactory(&restarted);
   RecoveryReport report;
   ASSERT_TRUE(restarted.RestartFromImage(sink.image(), &report).ok());
-  EXPECT_EQ(report.records_replayed, journal.size());
+  EXPECT_EQ(report.records_replayed, journal.high_lsn());
   ExpectStoryState(&restarted);
 }
 
@@ -648,7 +649,7 @@ TEST(DynamicRestartTest, ImageAndDirRestartsRecoverTheSameWorld) {
       RegisterCounterFactory(&restarted);
       RecoveryReport report;
       ASSERT_TRUE(restarted.RestartFromImage(memory.image(), &report).ok());
-      EXPECT_EQ(report.records_replayed, journal.size());
+      EXPECT_EQ(report.records_replayed, journal.high_lsn());
       expect_same_world(&restarted, "image");
     }
     for (const int threads : {1, 3}) {

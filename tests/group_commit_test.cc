@@ -125,7 +125,7 @@ TEST(GroupCommitTest, CommitAcksOnlyDurableRecords) {
     auto txn = sys.manager.Begin();
     ASSERT_TRUE(Deposit(&sys, txn.get(), 5).ok());
     ASSERT_TRUE(sys.manager.Commit(txn.get()).ok());
-    EXPECT_GE(sys.pipeline.durable_lsn(), sys.journal.size())
+    EXPECT_GE(sys.pipeline.durable_lsn(), sys.journal.high_lsn())
         << "commit " << i << " acknowledged before its record was durable";
   }
   const GroupCommitStats stats = sys.pipeline.stats();
@@ -162,10 +162,10 @@ TEST(GroupCommitTest, RelaxedModeAcksBeforeDurability) {
   ASSERT_TRUE(Deposit(&sys, txn.get(), 7).ok());
   // The gate is closed: nothing can become durable, yet the commit acks.
   ASSERT_TRUE(sys.manager.Commit(txn.get()).ok());
-  EXPECT_LT(sys.pipeline.durable_lsn(), sys.journal.size());
+  EXPECT_LT(sys.pipeline.durable_lsn(), sys.journal.high_lsn());
   sink.Open();
   sys.pipeline.Drain();
-  EXPECT_EQ(sys.pipeline.durable_lsn(), sys.journal.size());
+  EXPECT_EQ(sys.pipeline.durable_lsn(), sys.journal.high_lsn());
 }
 
 // Early lock release, the tentpole property: while a committed batch's

@@ -84,24 +84,25 @@ TEST(JournalFormatTest, MalformedPayloadsRejected) {
 TEST(JournalFormatTest, CleanImageScans) {
   const auto records = SampleRecords();
   RecoveryReport report;
-  StatusOr<Journal> scanned = ScanJournalImage(ImageOf(records), &report);
+  StatusOr<DecodedJournal> scanned = ScanJournalImage(ImageOf(records), &report);
   ASSERT_TRUE(scanned.ok());
   EXPECT_EQ(report.records_replayed, records.size());
   EXPECT_EQ(report.bytes_truncated, 0u);
   EXPECT_FALSE(report.corrupt_tail);
-  const auto out = scanned->Records();
+  const std::vector<Journal::Entry>& out = scanned->entries;
   ASSERT_EQ(out.size(), records.size());
   for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].txn, records[i].txn);
-    EXPECT_EQ(out[i].ops, records[i].ops);
+    ASSERT_FALSE(out[i].is_lifecycle);
+    EXPECT_EQ(out[i].commit.txn, records[i].txn);
+    EXPECT_EQ(out[i].commit.ops, records[i].ops);
   }
 }
 
 TEST(JournalFormatTest, EmptyImageScansToEmptyJournal) {
   RecoveryReport report;
-  StatusOr<Journal> scanned = ScanJournalImage("", &report);
+  StatusOr<DecodedJournal> scanned = ScanJournalImage("", &report);
   ASSERT_TRUE(scanned.ok());
-  EXPECT_EQ(scanned->size(), 0u);
+  EXPECT_EQ(scanned->entries.size(), 0u);
   EXPECT_EQ(report.bytes_truncated, 0u);
   EXPECT_FALSE(report.corrupt_tail);
 }
@@ -115,13 +116,13 @@ TEST(JournalFormatTest, TornTailTruncatedAtEveryByteOffset) {
       image.size() - EncodeCommitRecord(records.back()).size();
   for (size_t cut = prefix_bytes + 1; cut < image.size(); ++cut) {
     RecoveryReport report;
-    StatusOr<Journal> scanned =
+    StatusOr<DecodedJournal> scanned =
         ScanJournalImage(std::string_view(image).substr(0, cut), &report);
     ASSERT_TRUE(scanned.ok()) << "cut at " << cut;
     EXPECT_EQ(report.records_replayed, records.size() - 1) << "cut " << cut;
     EXPECT_EQ(report.bytes_truncated, cut - prefix_bytes) << "cut " << cut;
     EXPECT_TRUE(report.corrupt_tail) << "cut " << cut;
-    EXPECT_EQ(scanned->size(), records.size() - 1);
+    EXPECT_EQ(scanned->entries.size(), records.size() - 1);
   }
 }
 
@@ -136,7 +137,7 @@ TEST(JournalFormatTest, CorruptTailByteTruncates) {
     std::string corrupted = image;
     FlipByte(&corrupted, off, 0x20);
     RecoveryReport report;
-    StatusOr<Journal> scanned = ScanJournalImage(corrupted, &report);
+    StatusOr<DecodedJournal> scanned = ScanJournalImage(corrupted, &report);
     ASSERT_TRUE(scanned.ok()) << "flip at " << off;
     EXPECT_EQ(report.records_replayed, records.size() - 1) << "flip " << off;
     EXPECT_TRUE(report.corrupt_tail) << "flip " << off;
@@ -155,7 +156,7 @@ TEST(JournalFormatTest, MidJournalCorruptionRejected) {
     std::string corrupted = image;
     FlipByte(&corrupted, off, 0x20);
     RecoveryReport report;
-    StatusOr<Journal> scanned = ScanJournalImage(corrupted, &report);
+    StatusOr<DecodedJournal> scanned = ScanJournalImage(corrupted, &report);
     ASSERT_FALSE(scanned.ok()) << "flip at " << off;
     EXPECT_EQ(scanned.status().code(), StatusCode::kInternal);
   }
@@ -166,7 +167,7 @@ TEST(JournalFormatTest, PureGarbageIsAllTail) {
   // zero records and everything truncated.
   std::string garbage(257, '\xa5');
   RecoveryReport report;
-  StatusOr<Journal> scanned = ScanJournalImage(garbage, &report);
+  StatusOr<DecodedJournal> scanned = ScanJournalImage(garbage, &report);
   ASSERT_TRUE(scanned.ok());
   EXPECT_EQ(report.records_replayed, 0u);
   EXPECT_EQ(report.bytes_truncated, garbage.size());
@@ -183,9 +184,9 @@ TEST(JournalIoTest, WriterRoundTripsThroughMemorySink) {
   EXPECT_EQ(writer.records_appended(), records.size());
   EXPECT_EQ(writer.bytes_written(), sink.image().size());
   RecoveryReport report;
-  StatusOr<Journal> scanned = JournalReader(sink.image()).Scan(&report);
+  StatusOr<DecodedJournal> scanned = ScanJournalImage(sink.image(), &report);
   ASSERT_TRUE(scanned.ok());
-  EXPECT_EQ(scanned->size(), records.size());
+  EXPECT_EQ(scanned->entries.size(), records.size());
   // Record boundaries bracket the image.
   EXPECT_EQ(writer.boundary(0), 0u);
   EXPECT_EQ(writer.boundary(records.size()), sink.image().size());
@@ -206,9 +207,9 @@ TEST(JournalIoTest, WriterRoundTripsThroughFileSink) {
   StatusOr<std::string> image = ReadFileImage(path);
   ASSERT_TRUE(image.ok()) << image.status().ToString();
   RecoveryReport report;
-  StatusOr<Journal> scanned = ScanJournalImage(*image, &report);
+  StatusOr<DecodedJournal> scanned = ScanJournalImage(*image, &report);
   ASSERT_TRUE(scanned.ok());
-  EXPECT_EQ(scanned->size(), records.size());
+  EXPECT_EQ(scanned->entries.size(), records.size());
   EXPECT_FALSE(report.corrupt_tail);
   std::remove(path.c_str());
 }
@@ -223,7 +224,7 @@ TEST(JournalIoTest, CrashAtRecordDropsSuffix) {
     }
     EXPECT_EQ(writer.records_appended(), std::min(crash, records.size()));
     RecoveryReport report;
-    StatusOr<Journal> scanned = ScanJournalImage(sink.image(), &report);
+    StatusOr<DecodedJournal> scanned = ScanJournalImage(sink.image(), &report);
     ASSERT_TRUE(scanned.ok());
     EXPECT_EQ(report.records_replayed, std::min(crash, records.size()));
     EXPECT_FALSE(report.corrupt_tail);  // boundary crash: clean prefix
@@ -242,7 +243,7 @@ TEST(JournalIoTest, TornRecordTruncatesAtRecovery) {
         ASSERT_TRUE(writer.Append(record).ok());
       }
       RecoveryReport report;
-      StatusOr<Journal> scanned = ScanJournalImage(sink.image(), &report);
+      StatusOr<DecodedJournal> scanned = ScanJournalImage(sink.image(), &report);
       ASSERT_TRUE(scanned.ok()) << "torn " << torn << " keep " << keep;
       EXPECT_EQ(report.records_replayed, torn);
       EXPECT_EQ(report.bytes_truncated, std::min(keep, encoded_size));

@@ -3,7 +3,8 @@
 // Crash-recovery tests for the redo journal (the paper's deferred future
 // work): after any crash point, replaying the journal rebuilds exactly the
 // state of the committed prefix — under both recovery methods, with aborts
-// interleaved, and under concurrency.
+// interleaved, and under concurrency. Each test journals onto an in-memory
+// disk (MemoryJournal) and replays the decoded image.
 
 #include <thread>
 
@@ -12,6 +13,7 @@
 #include "adt/bank_account.h"
 #include "adt/int_set.h"
 #include "common/random.h"
+#include "sim/memory_journal.h"
 #include "txn/du_recovery.h"
 #include "txn/journal.h"
 #include "txn/txn_manager.h"
@@ -45,11 +47,11 @@ class JournalTest : public ::testing::TestWithParam<Method> {
 
 TEST_P(JournalTest, RecoversCommittedStateExactly) {
   auto ba = MakeBankAccount();
-  Journal journal;
+  MemoryJournal journal;
   TxnManager manager;
   AtomicObject* obj = manager.AddObject("BA", ba, MakeConflict(ba),
                                         MakeRecovery(ba));
-  obj->recovery().set_journal(&journal);
+  obj->recovery().set_journal(&journal.journal);
 
   Random rng(7);
   for (int i = 0; i < 50; ++i) {
@@ -67,7 +69,7 @@ TEST_P(JournalTest, RecoversCommittedStateExactly) {
   }
 
   // Crash now: everything volatile is gone; only the journal survives.
-  auto recovered = RecoverState(*ba, journal);
+  auto recovered = RecoverState(*ba, journal.Decode());
   auto live = obj->CommittedState();
   EXPECT_TRUE(recovered->Equals(*live))
       << "recovered " << recovered->ToString() << ", live "
@@ -76,35 +78,35 @@ TEST_P(JournalTest, RecoversCommittedStateExactly) {
 
 TEST_P(JournalTest, AbortedTransactionsNeverReachTheJournal) {
   auto ba = MakeBankAccount();
-  Journal journal;
+  MemoryJournal journal;
   TxnManager manager;
   AtomicObject* obj = manager.AddObject("BA", ba, MakeConflict(ba),
                                         MakeRecovery(ba));
-  obj->recovery().set_journal(&journal);
+  obj->recovery().set_journal(&journal.journal);
 
   auto doomed = manager.Begin();
   ASSERT_TRUE(manager.Execute(doomed.get(), ba->DepositInv(999)).ok());
   ASSERT_TRUE(manager.Abort(doomed.get()).ok());
-  EXPECT_EQ(journal.size(), 0u);
+  EXPECT_TRUE(journal.Decode().entries.empty());
 
   ASSERT_TRUE(manager
                   .RunTransaction([&](Transaction* txn) {
                     return manager.Execute(txn, ba->DepositInv(5)).status();
                   })
                   .ok());
-  ASSERT_EQ(journal.size(), 1u);
-  EXPECT_EQ(BalanceOf(*RecoverState(*ba, journal)), 5);
+  ASSERT_EQ(journal.Decode().entries.size(), 1u);
+  EXPECT_EQ(BalanceOf(*RecoverState(*ba, journal.Decode())), 5);
 }
 
 // Every crash point (journal prefix) recovers to a legal committed state:
 // the state after exactly the first n committed transactions.
 TEST_P(JournalTest, EveryPrefixIsAConsistentCrashPoint) {
   auto ba = MakeBankAccount();
-  Journal journal;
+  MemoryJournal journal;
   TxnManager manager;
   AtomicObject* obj = manager.AddObject("BA", ba, MakeConflict(ba),
                                         MakeRecovery(ba));
-  obj->recovery().set_journal(&journal);
+  obj->recovery().set_journal(&journal.journal);
 
   // Known sequence: +10, -3, +1, -2 committed one at a time.
   const std::vector<Invocation> script = {
@@ -118,23 +120,25 @@ TEST_P(JournalTest, EveryPrefixIsAConsistentCrashPoint) {
                     .ok());
   }
   const std::vector<int64_t> expected = {0, 10, 7, 8, 6};
-  ASSERT_EQ(journal.size(), 4u);
-  for (size_t n = 0; n <= journal.size(); ++n) {
-    EXPECT_EQ(BalanceOf(*RecoverState(*ba, journal.Prefix(n))),
-              expected[n])
+  const DecodedJournal image = journal.Decode();
+  ASSERT_EQ(image.entries.size(), 4u);
+  for (size_t n = 0; n <= image.entries.size(); ++n) {
+    const DecodedJournal prefix{std::vector<Journal::Entry>(
+        image.entries.begin(), image.entries.begin() + n)};
+    EXPECT_EQ(BalanceOf(*RecoverState(*ba, prefix)), expected[n])
         << "crash after " << n << " commit records";
   }
 }
 
 TEST_P(JournalTest, ConcurrentWorkloadSurvivesCrash) {
   auto ba = MakeBankAccount();
-  Journal journal;
+  MemoryJournal journal;
   TxnManagerOptions options;
   options.lock_timeout = std::chrono::milliseconds(2000);
   TxnManager manager(options);
   AtomicObject* obj = manager.AddObject("BA", ba, MakeConflict(ba),
                                         MakeRecovery(ba));
-  obj->recovery().set_journal(&journal);
+  obj->recovery().set_journal(&journal.journal);
 
   std::vector<std::thread> workers;
   for (int w = 0; w < 4; ++w) {
@@ -154,20 +158,20 @@ TEST_P(JournalTest, ConcurrentWorkloadSurvivesCrash) {
   }
   for (auto& t : workers) t.join();
 
-  auto recovered = RecoverState(*ba, journal);
+  auto recovered = RecoverState(*ba, journal.Decode());
   EXPECT_TRUE(recovered->Equals(*obj->CommittedState()));
-  EXPECT_EQ(journal.size(), manager.stats().committed);
+  EXPECT_EQ(journal.Decode().entries.size(), manager.stats().committed);
 }
 
 // The set ADT has no inverse operations, so UIP must recover it by replay;
 // the journal path is identical and must still round-trip.
 TEST_P(JournalTest, WorksForNonInvertibleAdts) {
   auto set = MakeIntSet();
-  Journal journal;
+  MemoryJournal journal;
   TxnManager manager;
   AtomicObject* obj = manager.AddObject("SET", set, MakeConflict(set),
                                         MakeRecovery(set));
-  obj->recovery().set_journal(&journal);
+  obj->recovery().set_journal(&journal.journal);
 
   Random rng(17);
   for (int i = 0; i < 40; ++i) {
@@ -183,7 +187,7 @@ TEST_P(JournalTest, WorksForNonInvertibleAdts) {
     ASSERT_TRUE(s.ok() || s.code() == StatusCode::kAborted);
   }
   EXPECT_TRUE(
-      RecoverState(*set, journal)->Equals(*obj->CommittedState()));
+      RecoverState(*set, journal.Decode())->Equals(*obj->CommittedState()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Methods, JournalTest,

@@ -4,17 +4,27 @@
 // batches, torn-tail repair, artifact unlinking, compaction, reopen
 // index rebuild, crash/failure injection), cold-object eviction through
 // the TxnManager (evict / fault-in round trips, races against lazy
-// GetOrCreate and DropObject, the watermark CLOCK sweep, fuzzy
-// checkpoints over evicted objects), store-preferring and lazy restarts,
-// dropped-key reconciliation, and the store-backend crash sweep (every
-// store.* point, UIP and DU) auditing zero acked-but-lost records.
+// GetOrCreate, DropObject and a second eviction, the watermark CLOCK
+// sweep, fuzzy checkpoints over evicted objects), store-preferring and
+// lazy restarts, dropped-key reconciliation, and the store-backend crash
+// sweep (every store.* point, UIP and DU) auditing zero acked-but-lost
+// records.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <future>
 #include <map>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <thread>
+#include <vector>
 
 #ifndef _WIN32
 #include <unistd.h>
@@ -26,6 +36,7 @@
 #include "common/random.h"
 #include "common/temp_path.h"
 #include "sim/crash_harness.h"
+#include "sim/memory_journal.h"
 #include "store/log_store.h"
 #include "store/mem_store.h"
 #include "store/object_store.h"
@@ -420,13 +431,14 @@ Invocation ReadInv(const ObjectId& id) {
   return Invocation(id, Counter::kRead, "read", {});
 }
 
-// A manager journaling to an in-memory Journal, with a MemObjectStore
+// A manager journaling onto an in-memory disk, with a MemObjectStore
 // attached: the smallest world where eviction, fault-in, store
 // checkpoints, and restart all compose.
 struct StoreWorld {
   MemObjectStore store;
+  MemoryJournal disk;
+  Journal& journal = disk.journal;
   TxnManager manager;
-  Journal journal;
 
   explicit StoreWorld(TxnManagerOptions options = {}) : manager(options) {
     RegisterCounterFactory(&manager);
@@ -455,16 +467,6 @@ struct StoreWorld {
     return out;
   }
 };
-
-// The crash image of a volatile journal: its entries framed exactly as a
-// durable writer would have written them.
-std::string ImageOf(const Journal& journal) {
-  std::string image;
-  journal.ForEachEntry([&](Lsn, const Journal::Entry& entry) {
-    image += EncodeEntryRecord(entry);
-  });
-  return image;
-}
 
 TEST(EvictionTest, EvictThenExecuteFaultsBackIn) {
   StoreWorld world;
@@ -502,7 +504,8 @@ TEST(EvictionTest, EvictThenExecuteFaultsBackIn) {
 // the race and the stale image would silently swallow the commit — the
 // ticket carries a journal-independent commit tick instead.
 TEST(EvictionTest, FinishEvictDetectsRacedCommitWithoutDurableLsns) {
-  StoreWorld world;  // volatile Journal: AppendCommit returns kNoLsn
+  StoreWorld world;
+  world.journal.set_pipeline(nullptr);  // volatile: appends return kNoLsn
   ASSERT_TRUE(world.Inc("D1", 6).ok());
   AtomicObject* obj = world.manager.object("D1");
   ASSERT_NE(obj, nullptr);
@@ -527,18 +530,136 @@ TEST(EvictionTest, FinishEvictDetectsRacedCommitWithoutDurableLsns) {
   EXPECT_TRUE(obj->evicted());
 }
 
+// A Counter whose state encoding runs a callback first. BeginEvict encodes
+// under the object mutex, so the callback tells a test that an eviction
+// holds its ticket before the test moves the object on.
+class EncodeNotifyingCounter final : public Adt {
+ public:
+  EncodeNotifyingCounter(std::shared_ptr<Counter> inner,
+                         std::function<void()> on_encode)
+      : inner_(std::move(inner)), on_encode_(std::move(on_encode)) {}
+
+  std::string name() const override { return inner_->name(); }
+  const SpecAutomaton& spec() const override { return inner_->spec(); }
+  std::vector<Operation> Universe() const override {
+    return inner_->Universe();
+  }
+  bool CommuteForward(const Operation& p,
+                      const Operation& q) const override {
+    return inner_->CommuteForward(p, q);
+  }
+  bool RightCommutesBackward(const Operation& p,
+                             const Operation& q) const override {
+    return inner_->RightCommutesBackward(p, q);
+  }
+  bool IsUpdate(const Operation& op) const override {
+    return inner_->IsUpdate(op);
+  }
+  std::optional<std::unique_ptr<SpecState>> InverseApply(
+      const SpecState& state, const Operation& op) const override {
+    return inner_->InverseApply(state, op);
+  }
+  bool supports_inverse() const override {
+    return inner_->supports_inverse();
+  }
+  bool supports_state_codec() const override { return true; }
+  std::string EncodeState(const SpecState& state) const override {
+    on_encode_();
+    return inner_->EncodeState(state);
+  }
+  StatusOr<std::unique_ptr<SpecState>> DecodeState(
+      std::string_view encoded) const override {
+    return inner_->DecodeState(encoded);
+  }
+
+ private:
+  std::shared_ptr<Counter> inner_;
+  std::function<void()> on_encode_;
+};
+
+// Regression: two evictions of one object, the older one reaching the
+// store after the newer one won. Eviction A takes its ticket, a commit
+// moves the object on, and eviction B writes the newer image and flips the
+// object to evicted; only then does A get the store mutex. A must not Put
+// its older image over B's, or the next fault-in installs it and the
+// commit is lost (with a volatile journal both tickets even carry kNoLsn).
+TEST(EvictionTest, StaleEvictionDoesNotOverwriteTheWinnersImage) {
+  StoreWorld world;
+  constexpr const char* kFactory = "notifying-counter";
+  std::atomic<bool> armed{false};
+  std::promise<void> ticket_taken;
+  world.manager.RegisterFactory(kFactory, [&](const ObjectId& id) {
+    std::shared_ptr<Counter> ctr = MakeCounter(id);
+    ObjectConfig config;
+    config.adt = std::make_shared<EncodeNotifyingCounter>(ctr, [&] {
+      if (armed.exchange(false)) ticket_taken.set_value();
+    });
+    config.conflict = MakeNrbcConflict(ctr);
+    config.recovery = std::make_unique<UipRecovery>(ctr);
+    return config;
+  });
+  const auto inc = [&]() {
+    return world.manager.RunTransaction([&](Transaction* txn) {
+      const StatusOr<AtomicObject*> obj =
+          world.manager.GetOrCreate("D1", kFactory);
+      if (!obj.ok()) return obj.status();
+      return world.manager.Execute(txn, IncInv("D1", 1)).status();
+    });
+  };
+  ASSERT_TRUE(inc().ok());
+  AtomicObject* obj = world.manager.object("D1");
+  ASSERT_NE(obj, nullptr);
+
+  Status a_status;
+  std::thread a;
+  {
+    // Holding the store mutex parks A between its ticket and its Put.
+    std::lock_guard<std::mutex> hold(world.manager.store_mutex());
+    armed = true;
+    a = std::thread([&] { a_status = world.manager.EvictObject("D1"); });
+    ticket_taken.get_future().wait();  // A's ticket holds the value 1
+    EXPECT_TRUE(inc().ok());
+    // B, the winner: the same store step EvictObject runs, under the
+    // store mutex this thread already holds.
+    StatusOr<AtomicObject::EvictTicket> b = obj->BeginEvict();
+    EXPECT_TRUE(b.ok()) << b.status().ToString();
+    if (b.ok()) {
+      StoreWriteBatch batch;
+      batch.Put(StoreObjectKey("D1"),
+                EncodeStoreObjectValue(b->lsn, kFactory, b->encoded));
+      EXPECT_TRUE(world.store
+                      .ApplyBatch(batch, ObjectStore::Durability::kBuffered)
+                      .ok());
+      EXPECT_TRUE(obj->FinishEvict(*b));
+    }
+  }
+  a.join();
+  EXPECT_TRUE(a_status.ok()) << a_status.ToString();
+  ASSERT_TRUE(obj->evicted());
+
+  StatusOr<std::string> img = world.store.Get(StoreObjectKey("D1"));
+  ASSERT_TRUE(img.ok()) << img.status().ToString();
+  StatusOr<CheckpointImage::ObjectEntry> entry = DecodeStoreObjectValue(*img);
+  ASSERT_TRUE(entry.ok());
+  EXPECT_EQ(entry->lsn, obj->last_committed_lsn())
+      << "the losing eviction overwrote the winner's image";
+  StatusOr<int64_t> value = world.Read("D1");
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  EXPECT_EQ(*value, 2);
+}
+
 TEST(EvictionTest, LazyGetOrCreateReturnsEvictedShellWithoutCreateRecord) {
   StoreWorld world;
   ASSERT_TRUE(world.Inc("D1", 3).ok());
   ASSERT_TRUE(world.manager.EvictObject("D1").ok());
-  const size_t records_before = world.journal.size();
+  const Lsn records_before = world.journal.high_lsn();
   // GetOrCreate on an evicted id must hit the resident shell — no second
   // incarnation, no create record.
   StatusOr<AtomicObject*> obj =
       world.manager.GetOrCreate("D1", kCounterFactory);
   ASSERT_TRUE(obj.ok());
   EXPECT_EQ(*obj, world.manager.object("D1"));
-  EXPECT_EQ(world.journal.size(), records_before);
+  EXPECT_EQ(world.journal.high_lsn(), records_before);
   EXPECT_EQ(*world.Read("D1"), 3);
 }
 
@@ -606,7 +727,7 @@ TEST(EvictionTest, FuzzyCheckpointSkipsEvictedObjectsButRestartSeesThem) {
   TxnManager restarted;
   RegisterCounterFactory(&restarted);
   restarted.set_object_store(&world.store);
-  ASSERT_TRUE(restarted.RestartFromImage(ImageOf(world.journal), nullptr).ok());
+  ASSERT_TRUE(restarted.RestartFromImage(world.disk.sink.image(), nullptr).ok());
   ASSERT_NE(restarted.object("D1"), nullptr);
   ASSERT_NE(restarted.object("D2"), nullptr);
   EXPECT_TRUE(restarted.object("D1")->CommittedState()->Equals(
@@ -630,7 +751,7 @@ TEST(EvictionTest, RestartReconcilesDroppedKeyAfterLostDelete) {
   TxnManager restarted;
   RegisterCounterFactory(&restarted);
   restarted.set_object_store(&world.store);
-  ASSERT_TRUE(restarted.RestartFromImage(ImageOf(world.journal), nullptr).ok());
+  ASSERT_TRUE(restarted.RestartFromImage(world.disk.sink.image(), nullptr).ok());
   EXPECT_EQ(restarted.object("D1"), nullptr);
   EXPECT_EQ(world.store.Get(StoreObjectKey("D1")).status().code(),
             StatusCode::kNotFound)
@@ -760,13 +881,13 @@ TEST(StoreRestartTest, LazyStoreInstallDefersUntouchedObjects) {
 
   // First touch faults a deferred object in — through GetOrCreate (no new
   // create record: the store image IS the object) and through Execute.
-  Journal journal2;
-  journal2.set_base_lsn(summary->high_lsn);
-  restarted.set_lifecycle_journal(&journal2);
+  MemoryJournal journal2(summary->high_lsn);
+  restarted.set_lifecycle_journal(&journal2.journal);
   StatusOr<AtomicObject*> c3 =
       restarted.GetOrCreate("C3", kCounterFactory);
   ASSERT_TRUE(c3.ok()) << c3.status().ToString();
-  EXPECT_EQ(journal2.size(), 0u) << "fault-in journaled a create record";
+  EXPECT_TRUE(journal2.Decode().entries.empty())
+      << "fault-in journaled a create record";
   EXPECT_TRUE((*c3)->CommittedState()->Equals(
       *world.manager.object("C3")->CommittedState()));
   int64_t c5 = 0;
@@ -912,10 +1033,8 @@ TEST(StoreRestartTest, DeferredDropReDeletesKeyLostBeforeCrash) {
 // initial state — and its pre-drop records past the anchor are a partial
 // history that need not replay there (a withdraw against a zero balance).
 // The drop discards that incarnation, so the bucketed replay must purge
-// its records rather than replay them. (The purge is a rule of the
-// bucketed replay only: on one thread each record replays as it is
-// decoded, before the drop is seen, and that restart fails today — see
-// CHANGES.md.)
+// its records rather than replay them, and a one-thread restart must not
+// stream them (it falls back to bucketed replay) before the drop is seen.
 TEST(StoreRestartTest, DropPurgesPartialHistoryOfRegisteredObject) {
   DurableWorld world;
   const auto ba = MakeBankAccount();
@@ -934,7 +1053,7 @@ TEST(StoreRestartTest, DropPurgesPartialHistoryOfRegisteredObject) {
   ASSERT_TRUE(world.manager.DropObject("BA").ok());
   ASSERT_TRUE(world.MakeCheckpointer().Write(&world.manager, anchor).ok());
 
-  for (const int threads : {2, 4}) {
+  for (const int threads : {1, 2, 4}) {
     SCOPED_TRACE(std::to_string(threads) + " replay threads");
     TxnManager restarted;
     RegisterCounterFactory(&restarted);
@@ -947,6 +1066,47 @@ TEST(StoreRestartTest, DropPurgesPartialHistoryOfRegisteredObject) {
     EXPECT_EQ(summary->checkpoint_anchor, anchor);
     EXPECT_EQ(restarted.object("BA"), nullptr);
     ASSERT_NE(restarted.object("C0"), nullptr);
+  }
+}
+
+// The other side of the one-thread fallback to bucketed replay: a
+// registered object absent from the image only because it was registered
+// after the checkpoint walk. No create or drop settles it, so its held
+// records replay when the scan ends.
+TEST(StoreRestartTest, HeldRecordsOfRegisteredObjectReplayAtScanEnd) {
+  DurableWorld world;
+  ASSERT_TRUE(world.Inc("C0", 1).ok());
+  ASSERT_TRUE(world.MakeCheckpointer()
+                  .Write(&world.manager, world.journal.high_lsn())
+                  .ok());
+  const auto ba = MakeBankAccount();
+  world.manager.AddObject("BA", ba, MakeNrbcConflict(ba),
+                          std::make_unique<UipRecovery>(ba));
+  world.manager.object("BA")->recovery().set_journal(&world.journal);
+  ASSERT_TRUE(world.manager
+                  .RunTransaction([&](Transaction* txn) {
+                    return world.manager.Execute(txn, ba->DepositInv(5))
+                        .status();
+                  })
+                  .ok());
+  ASSERT_TRUE(world.Inc("C0", 2).ok());
+
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE(std::to_string(threads) + " replay threads");
+    TxnManager restarted;
+    RegisterCounterFactory(&restarted);
+    restarted.AddObject("BA", ba, MakeNrbcConflict(ba),
+                        std::make_unique<UipRecovery>(ba));
+    restarted.set_object_store(world.store.get());
+    StatusOr<RestartSummary> summary = restarted.RestartFromDir(
+        world.dir.path(), RestartOptions{threads});
+    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    for (const char* id : {"BA", "C0"}) {
+      ASSERT_NE(restarted.object(id), nullptr) << id;
+      EXPECT_TRUE(restarted.object(id)->CommittedState()->Equals(
+          *world.manager.object(id)->CommittedState()))
+          << id;
+    }
   }
 }
 
